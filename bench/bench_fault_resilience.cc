@@ -207,6 +207,35 @@ const std::vector<FailStopScenario> kFailStops = {
     {"failstop_triple_abrupt", false, true, true, true},
 };
 
+/**
+ * The degraded-mode contract: with a row bus, node or memory module
+ * fail-stopped, every surviving transaction completes under a clean
+ * checker, at least 99% of offered transactions complete, and a
+ * graceful retirement (which scrubs every Modified line before going
+ * dark) loses no data. A point that breaks it aborts the bench.
+ */
+void
+requireDegradedContract(const FailStopScenario &sc, const Metrics &m)
+{
+    const double availability = m.at("availability");
+    const double lost = m.at("data_loss_lines");
+    const char *broken = nullptr;
+    if (m.at("completed") != 1.0)
+        broken = "not every surviving transaction completed cleanly";
+    else if (availability < 0.99)
+        broken = "availability below 0.99";
+    else if (sc.graceful && lost != 0.0)
+        broken = "graceful retirement lost Modified lines";
+    if (!broken)
+        return;
+    std::fprintf(stderr,
+                 "bench_fault_resilience: %s breaks the degraded-mode "
+                 "contract: %s (availability %.4f, data_loss_lines "
+                 "%.0f)\n",
+                 sc.label, broken, availability, lost);
+    std::abort();
+}
+
 FaultPlan
 failStopPlanFor(const FailStopScenario &sc)
 {
@@ -317,6 +346,7 @@ runFailStopCampaign(const FailStopScenario &sc)
     metrics["sys_seed"] = 1701;
     metrics["tester_seed"] = 23;
     metrics["graceful"] = sc.graceful ? 1.0 : 0.0;
+    requireDegradedContract(sc, metrics);
     return metrics;
 }
 

@@ -10,9 +10,8 @@
  * Reported per size:
  *
  *   events_per_sec_{on,off}  host-throughput of each arm;
- *   filter_speedup           on / off — the figure perf_check.py
- *                            watches so the filter cannot silently
- *                            stop paying for itself;
+ *   filter_speedup           on / off — whether the filter still
+ *                            pays for itself;
  *   filter_reject_fraction   share of snoop decisions fast-rejected.
  */
 

@@ -74,25 +74,6 @@ struct SimPoint
     std::uint64_t simEvents = 0;
     /** Final simulated tick. */
     std::uint64_t simTicks = 0;
-    /**
-     * @{
-     * Parallel-engine telemetry (docs/PERFORMANCE.md). All zero when
-     * the run used the sequential engine (simThreads == 0).
-     */
-    /** Effective worker count (0 = sequential engine). */
-    double parWorkers = 0.0;
-    /** Amdahl projection from the realized serial fraction at the
-     *  effective worker count. */
-    double parProjectedSpeedup = 0.0;
-    /** Fraction of events executed on the serial lane. */
-    double parSerialFracEvents = 0.0;
-    /** Mean serial-lane events per window. */
-    double parSerialEventsPerWindow = 0.0;
-    /** Mean wall nanoseconds of the serial phase per window. */
-    double parSerialNsPerWindow = 0.0;
-    /** VmHWM (peak RSS bytes) at the end of the run; 0 if unknown. */
-    double parPeakRssBytes = 0.0;
-    /** @} */
     /** Flattened stat tree of the simulated system. */
     FlatStats stats;
 };
@@ -128,15 +109,6 @@ runMixSim(unsigned n, const MixParams &mix, double sim_ms = 2.0,
         std::chrono::duration<double>(std::chrono::steady_clock::now()
                                       - wall_start)
             .count();
-    if (ParallelEngine *eng = sys.parallelEngine()) {
-        const ParallelEngine::Telemetry t = eng->telemetry();
-        out.parWorkers = static_cast<double>(t.workersEffective);
-        out.parProjectedSpeedup = t.projectedSpeedup(t.workersEffective);
-        out.parSerialFracEvents = t.serialFracEvents();
-        out.parSerialEventsPerWindow = t.serialEventsPerWindow();
-        out.parSerialNsPerWindow = t.serialNsPerWindow();
-        out.parPeakRssBytes = static_cast<double>(t.peakRssBytes);
-    }
     sys.statistics().flatten(out.stats);
     return out;
 }
@@ -170,16 +142,6 @@ toMetrics(const SimPoint &p)
     m["wall_seconds"] = p.wallSeconds;
     m["sim_events"] = static_cast<double>(p.simEvents);
     m["sim_ticks"] = static_cast<double>(p.simTicks);
-    if (p.parWorkers > 0.0) {
-        // Parallel-engine run: export the serial-lane-pressure columns
-        // perf_check.py reports next to the realized speedup.
-        m["par_workers"] = p.parWorkers;
-        m["par_projected_speedup"] = p.parProjectedSpeedup;
-        m["par_serial_frac_events"] = p.parSerialFracEvents;
-        m["par_serial_events_per_window"] = p.parSerialEventsPerWindow;
-        m["par_serial_ns_per_window"] = p.parSerialNsPerWindow;
-        m["par_peak_rss_bytes"] = p.parPeakRssBytes;
-    }
     return m;
 }
 

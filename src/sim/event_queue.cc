@@ -47,7 +47,7 @@ EventQueue::parEmpty() const
 bool
 EventQueue::empty() const
 {
-    return heap.empty() && (!par || parEmpty());
+    return events.empty() && (!par || parEmpty());
 }
 
 std::uint64_t
@@ -75,49 +75,16 @@ EventQueue::deferToLane(unsigned lane, EventFn fn)
     par->deferCall(lane, std::move(fn));
 }
 
-void
-EventQueue::siftUp(std::size_t i)
+std::uint64_t
+EventQueue::runEvents(Tick end, std::uint64_t limit)
 {
-    Key k = heap[i];
-    while (i > 0) {
-        std::size_t parent = (i - 1) >> 2;
-        if (!before(k, heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        i = parent;
+    std::uint64_t count = 0;
+    while (!events.empty() && events.nextWhen() <= end && count < limit) {
+        events.runNext(SimProfiler::active(), [this](Tick t) { _now = t; });
+        ++count;
+        ++statExecuted;
     }
-    heap[i] = k;
-}
-
-void
-EventQueue::siftDown(std::size_t i)
-{
-    const std::size_t n = heap.size();
-    Key k = heap[i];
-    for (;;) {
-        std::size_t child = 4 * i + 1;
-        if (child >= n)
-            break;
-        std::size_t best = child;
-        std::size_t last = std::min(child + 4, n);
-        for (std::size_t j = child + 1; j < last; ++j)
-            if (before(heap[j], heap[best]))
-                best = j;
-        if (!before(heap[best], k))
-            break;
-        heap[i] = heap[best];
-        i = best;
-    }
-    heap[i] = k;
-}
-
-void
-EventQueue::popTop()
-{
-    heap.front() = heap.back();
-    heap.pop_back();
-    if (!heap.empty())
-        siftDown(0);
+    return count;
 }
 
 std::uint64_t
@@ -134,28 +101,7 @@ EventQueue::run(std::uint64_t limit)
         _now = std::max(_now, par->now());
         return total;
     }
-    std::uint64_t count = 0;
-    while (!heap.empty() && count < limit) {
-        Key top = heap.front();
-        popTop();
-        _now = top.when;
-        // Move the callable out and free its slot before invoking: the
-        // callback may schedule new events (growing or reusing the
-        // slab) while it runs.
-        EventFn fn = std::move(slots[top.slot]);
-        freeSlots.push_back(top.slot);
-        if (SimProfiler *prof = SimProfiler::active()) {
-            prof->onExecute(top.when, heap.size() + 1, slots.size(),
-                            freeSlots.size());
-            ProfScope scope(prof, ProfKind::Event, 0, {});
-            fn();
-        } else {
-            fn();
-        }
-        ++count;
-        ++statExecuted;
-    }
-    return count;
+    return runEvents(maxTick, limit);
 }
 
 std::uint64_t
@@ -167,25 +113,8 @@ EventQueue::runUntil(Tick end, std::uint64_t limit)
         _now = std::max(_now, par->now());
         return n;
     }
-    std::uint64_t count = 0;
-    while (!heap.empty() && heap.front().when <= end && count < limit) {
-        Key top = heap.front();
-        popTop();
-        _now = top.when;
-        EventFn fn = std::move(slots[top.slot]);
-        freeSlots.push_back(top.slot);
-        if (SimProfiler *prof = SimProfiler::active()) {
-            prof->onExecute(top.when, heap.size() + 1, slots.size(),
-                            freeSlots.size());
-            ProfScope scope(prof, ProfKind::Event, 0, {});
-            fn();
-        } else {
-            fn();
-        }
-        ++count;
-        ++statExecuted;
-    }
-    if (_now < end && (heap.empty() || heap.front().when > end))
+    const std::uint64_t count = runEvents(end, limit);
+    if (_now < end && (events.empty() || events.nextWhen() > end))
         _now = end;
     return count;
 }

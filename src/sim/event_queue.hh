@@ -5,18 +5,8 @@
  * Events are arbitrary callables scheduled at an absolute tick. Events
  * scheduled for the same tick fire in scheduling order (a monotonic
  * sequence number breaks ties), which keeps simulations reproducible.
- *
- * The queue is the hottest structure in the simulator, so it avoids
- * the two classic costs of the obvious implementation:
- *
- *  - callables are stored in a small-buffer EventFn instead of a
- *    std::function, so the typical capture ([this, op]) never touches
- *    the heap; oversized callables transparently fall back to one
- *    allocation;
- *  - the priority queue is a 4-ary implicit heap over 24-byte
- *    (when, seq, slot) keys, with the callables parked in a stable,
- *    free-listed slab. Sift operations move only the small keys, never
- *    the callables.
+ * Events live in an EventHeap (sim/event_heap.hh), the same storage
+ * every parallel-engine lane uses.
  *
  * Scheduling an event in the past is a caller bug: sequentially it
  * asserts in debug builds and, in release builds, is clamped to now()
@@ -40,11 +30,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <type_traits>
 #include <utility>
-#include <vector>
 
+#include "sim/event_heap.hh"
 #include "sim/profiler.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -53,120 +41,6 @@ namespace mcube
 {
 
 class ParallelEngine;
-
-/**
- * A move-only type-erased callable with inline small-buffer storage.
- *
- * Sized so every capture in the simulator (the largest is a BusOp
- * plus a pointer, or a completion callback plus a TxnResult) stays
- * inline; anything larger is heap-allocated behind the same
- * interface.
- */
-class EventFn
-{
-  public:
-    /** Inline capture storage, in bytes. */
-    static constexpr std::size_t bufBytes = 104;
-
-    EventFn() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn>>>
-    EventFn(F &&f)  // NOLINT: intentional converting constructor
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            new (buf) Fn(std::forward<F>(f));
-            ops = &inlineOps<Fn>;
-        } else {
-            new (buf) Fn *(new Fn(std::forward<F>(f)));
-            ops = &heapOps<Fn>;
-        }
-    }
-
-    EventFn(EventFn &&o) noexcept { moveFrom(o); }
-
-    EventFn &
-    operator=(EventFn &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            moveFrom(o);
-        }
-        return *this;
-    }
-
-    EventFn(const EventFn &) = delete;
-    EventFn &operator=(const EventFn &) = delete;
-
-    ~EventFn() { reset(); }
-
-    explicit operator bool() const { return ops != nullptr; }
-
-    void operator()() { ops->invoke(buf); }
-
-    /** Whether callables of type @p Fn avoid the heap fallback. */
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= bufBytes
-            && alignof(Fn) <= alignof(std::max_align_t)
-            && std::is_nothrow_move_constructible_v<Fn>;
-    }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *);
-        /** Move-construct at @p dst from @p src, destroying @p src. */
-        void (*relocate)(void *dst, void *src);
-        void (*destroy)(void *);
-    };
-
-    template <typename Fn>
-    static inline const Ops inlineOps = {
-        [](void *p) { (*static_cast<Fn *>(p))(); },
-        [](void *dst, void *src) {
-            Fn *s = static_cast<Fn *>(src);
-            new (dst) Fn(std::move(*s));
-            s->~Fn();
-        },
-        [](void *p) { static_cast<Fn *>(p)->~Fn(); },
-    };
-
-    template <typename Fn>
-    static inline const Ops heapOps = {
-        [](void *p) { (**static_cast<Fn **>(p))(); },
-        [](void *dst, void *src) {
-            new (dst) Fn *(*static_cast<Fn **>(src));
-        },
-        [](void *p) { delete *static_cast<Fn **>(p); },
-    };
-
-    void
-    moveFrom(EventFn &o) noexcept
-    {
-        ops = o.ops;
-        if (ops) {
-            ops->relocate(buf, o.buf);
-            o.ops = nullptr;
-        }
-    }
-
-    void
-    reset() noexcept
-    {
-        if (ops) {
-            ops->destroy(buf);
-            ops = nullptr;
-        }
-    }
-
-    const Ops *ops = nullptr;
-    alignas(std::max_align_t) unsigned char buf[bufBytes];
-};
 
 /**
  * The central event queue driving a simulation.
@@ -238,17 +112,7 @@ class EventQueue
         }
         if (SimProfiler *prof = SimProfiler::active())
             prof->onSchedule(when - _now);
-        std::uint32_t slot;
-        if (!freeSlots.empty()) {
-            slot = freeSlots.back();
-            freeSlots.pop_back();
-            slots[slot] = EventFn(std::forward<F>(f));
-        } else {
-            slot = static_cast<std::uint32_t>(slots.size());
-            slots.emplace_back(std::forward<F>(f));
-        }
-        heap.push_back(Key{when, nextSeq++, slot});
-        siftUp(heap.size() - 1);
+        events.push(when, std::forward<F>(f));
     }
 
     /** Schedule a callable @p delay ticks in the future. */
@@ -319,7 +183,7 @@ class EventQueue
 
     /** Number of pending events in the sequential heap (lane-resident
      *  events are counted by the engine's telemetry instead). */
-    std::size_t size() const { return heap.size(); }
+    std::size_t size() const { return events.size(); }
 
     /** Total number of events ever executed. */
     std::uint64_t eventsExecuted() const;
@@ -353,34 +217,12 @@ class EventQueue
     void parScheduleToLane(unsigned lane, Tick delay, EventFn fn);
     Tick parNow() const;
     bool parEmpty() const;
-    /** Heap key: priority (when, seq) plus the owning slab slot. */
-    struct Key
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
+    /** Sequential run loop: execute events with tick <= @p end until
+     *  @p limit have run. */
+    std::uint64_t runEvents(Tick end, std::uint64_t limit);
 
-    static bool
-    before(const Key &a, const Key &b)
-    {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-    }
-
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-
-    /** Remove the root key, keeping the heap valid. */
-    void popTop();
-
-    /** 4-ary implicit min-heap of keys (see file comment). */
-    std::vector<Key> heap;
-    /** Stable slab of callables, indexed by Key::slot. */
-    std::vector<EventFn> slots;
-    std::vector<std::uint32_t> freeSlots;
-
+    EventHeap events;
     Tick _now = 0;
-    std::uint64_t nextSeq = 0;
     ParallelEngine *par = nullptr;
 
     Counter statExecuted;

@@ -71,77 +71,13 @@ struct ParallelEngine::Outbox
     EventFn fn;
 };
 
-/**
- * One event-queue shard. Same layout idea as EventQueue: a 4-ary
- * implicit min-heap of small keys over a free-listed callable slab,
- * plus the lane's outbox of deferred cross-lane interactions.
- */
+/** One event-queue shard plus its outbox of deferred cross-lane
+ *  interactions. */
 struct ParallelEngine::Lane
 {
-    struct Key
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
-
-    std::vector<Key> heap;
-    std::vector<EventFn> slots;
-    std::vector<std::uint32_t> freeSlots;
-    std::uint64_t nextSeq = 0;
+    EventHeap events;
     std::uint64_t executed = 0;
     std::vector<Outbox> outbox;
-
-    static bool
-    before(const Key &a, const Key &b)
-    {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-    }
-
-    void
-    siftUp(std::size_t i)
-    {
-        Key k = heap[i];
-        while (i > 0) {
-            std::size_t parent = (i - 1) >> 2;
-            if (!before(k, heap[parent]))
-                break;
-            heap[i] = heap[parent];
-            i = parent;
-        }
-        heap[i] = k;
-    }
-
-    void
-    siftDown(std::size_t i)
-    {
-        const std::size_t n = heap.size();
-        Key k = heap[i];
-        for (;;) {
-            std::size_t child = 4 * i + 1;
-            if (child >= n)
-                break;
-            std::size_t best = child;
-            std::size_t last = std::min(child + 4, n);
-            for (std::size_t j = child + 1; j < last; ++j)
-                if (before(heap[j], heap[best]))
-                    best = j;
-            if (!before(heap[best], k))
-                break;
-            heap[i] = heap[best];
-            i = best;
-        }
-        heap[i] = k;
-    }
-
-    void
-    popTop()
-    {
-        heap.front() = heap.back();
-        heap.pop_back();
-        if (!heap.empty())
-            siftDown(0);
-    }
 };
 
 ParallelEngine::ParallelEngine(EventQueue &eq, unsigned n,
@@ -195,22 +131,6 @@ ParallelEngine::fatalPastTick(unsigned lane, Tick when, Tick ref) const
 }
 
 void
-ParallelEngine::pushEvent(Lane &lane, Tick when, EventFn fn)
-{
-    std::uint32_t slot;
-    if (!lane.freeSlots.empty()) {
-        slot = lane.freeSlots.back();
-        lane.freeSlots.pop_back();
-        lane.slots[slot] = std::move(fn);
-    } else {
-        slot = static_cast<std::uint32_t>(lane.slots.size());
-        lane.slots.push_back(std::move(fn));
-    }
-    lane.heap.push_back(Lane::Key{when, lane.nextSeq++, slot});
-    lane.siftUp(lane.heap.size() - 1);
-}
-
-void
 ParallelEngine::scheduleLane(unsigned lane, Tick when, EventFn fn)
 {
     const Tick ref = ctxNow();
@@ -229,7 +149,7 @@ ParallelEngine::scheduleLane(unsigned lane, Tick when, EventFn fn)
             Outbox{when, lane, false, std::move(fn)});
         return;
     }
-    pushEvent(*lanes[lane], when, std::move(fn));
+    lanes[lane]->events.push(when, std::move(fn));
 }
 
 void
@@ -266,22 +186,10 @@ ParallelEngine::runLane(unsigned lane_idx, Tick window_end)
         prevTracer = TransactionTracer::exchangeActive(
             traceShards_[lane_idx].get());
     ExecCtx saved = tlCtx;
-    while (!L.heap.empty() && L.heap.front().when < window_end) {
-        Lane::Key top = L.heap.front();
-        L.popTop();
-        // Move the callable out and free its slot before invoking: the
-        // callback may schedule new events on this lane while it runs.
-        EventFn fn = std::move(L.slots[top.slot]);
-        L.freeSlots.push_back(top.slot);
-        tlCtx = ExecCtx{this, lane_idx, top.when};
-        if (prof) {
-            prof->onExecute(top.when, L.heap.size() + 1,
-                            L.slots.size(), L.freeSlots.size());
-            ProfScope scope(prof, ProfKind::Event, 0, {});
-            fn();
-        } else {
-            fn();
-        }
+    while (!L.events.empty() && L.events.nextWhen() < window_end) {
+        L.events.runNext(prof, [this, lane_idx](Tick t) {
+            tlCtx = ExecCtx{this, lane_idx, t};
+        });
         ++L.executed;
     }
     tlCtx = saved;
@@ -434,7 +342,7 @@ ParallelEngine::mergeOutboxes()
                     e.fn();
                 }
             } else {
-                pushEvent(*lanes[e.target], e.when, std::move(e.fn));
+                lanes[e.target]->events.push(e.when, std::move(e.fn));
             }
             ++crossLaneOps_;
         }
@@ -513,8 +421,8 @@ ParallelEngine::earliestEvent() const
 {
     Tick best = kNoTick;
     for (const auto &l : lanes)
-        if (!l->heap.empty() && l->heap.front().when < best)
-            best = l->heap.front().when;
+        if (!l->events.empty() && l->events.nextWhen() < best)
+            best = l->events.nextWhen();
     return best;
 }
 
@@ -616,7 +524,7 @@ bool
 ParallelEngine::empty() const
 {
     for (const auto &l : lanes)
-        if (!l->heap.empty() || !l->outbox.empty())
+        if (!l->events.empty() || !l->outbox.empty())
             return false;
     return true;
 }

@@ -239,8 +239,8 @@ class ParallelEngine
         /** Max/mean per-lane event imbalance (row+col lanes). */
         double imbalance() const;
         /** Amdahl projection from the realized fractions, for
-         *  comparison against the measured speedup of an A-B thread
-         *  pair (perf_check.py's *_t1 columns). */
+         *  comparison against the measured speedup over a 1-worker
+         *  run of the same seeds. */
         double projectedSpeedup(unsigned k) const;
     };
 
@@ -255,7 +255,6 @@ class ParallelEngine
     struct Lane;
     struct Outbox;
 
-    void pushEvent(Lane &lane, Tick when, EventFn fn);
     /** Execute @p lane's events with tick < @p window_end. */
     void runLane(unsigned lane_idx, Tick window_end);
     /** Run lanes [first, first+count) in parallel up to

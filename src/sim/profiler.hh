@@ -28,7 +28,7 @@
  * a branch; no clock is read, nothing allocates. The profiler never
  * touches simulated state or any Random stream, so fixed-seed runs
  * are bit-identical with profiling on or off — enforced by
- * profiler_test and by the sim_n32 / sim_n32_prof bench pair.
+ * profiler_test and by the benchmark's traced pass (perfbench/).
  *
  * The active profiler is *per thread* (activate() installs into a
  * thread_local slot): a profiled point inside a parallel sweep never

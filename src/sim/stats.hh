@@ -189,7 +189,7 @@ class Histogram
      * reported exactly at every percentile (interpolation is clamped
      * to [min, max]). This keeps dump/dumpJson/flatten output finite
      * unconditionally; NaN is not valid JSON, and BENCH_*.json is
-     * machine-parsed by scripts/perf_check.py.
+     * machine-parsed.
      */
     double percentile(double q) const;
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/parallel_engine.hh"
 
 using namespace mcube;
 
@@ -148,30 +149,41 @@ TEST(EventQueue, RunUntilBoundarySameTickBatch)
 TEST(EventQueue, StressOrderingMatchesReference)
 {
     // Pseudo-random (tick, id) schedule; execution order must equal a
-    // stable sort by (tick, schedule order).
-    EventQueue eq;
+    // stable sort by (tick, schedule order). Both users of the event
+    // heap run it: the sequential queue, and a 1-worker parallel
+    // engine, where every schedule lands on the serial lane's heap.
+    std::vector<std::pair<Tick, int>> schedule;
     std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    auto next = [&state] {
+    for (int i = 0; i < 2000; ++i) {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        return state;
-    };
-    std::vector<std::pair<Tick, int>> expect;
-    std::vector<int> order;
-    for (int i = 0; i < 2000; ++i) {
-        Tick t = next() % 97;
-        expect.emplace_back(t, i);
-        eq.schedule(t, [&order, i] { order.push_back(i); });
+        schedule.emplace_back(state % 97, i);
     }
+    auto runSchedule = [&schedule](EventQueue &eq) {
+        std::vector<int> order;
+        for (const auto &[t, i] : schedule)
+            eq.schedule(t, [&order, i = i] { order.push_back(i); });
+        eq.run();
+        return order;
+    };
+    std::vector<std::pair<Tick, int>> expect = schedule;
     std::stable_sort(expect.begin(), expect.end(),
                      [](const auto &a, const auto &b) {
                          return a.first < b.first;
                      });
-    eq.run();
-    ASSERT_EQ(order.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i)
-        EXPECT_EQ(order[i], expect[i].second) << i;
+
+    EventQueue seq;
+    EventQueue lane;
+    ParallelEngine engine(lane, 1, 1, 5);
+    lane.setParallel(&engine);
+    for (EventQueue *eq : {&seq, &lane}) {
+        const std::vector<int> order = runSchedule(*eq);
+        ASSERT_EQ(order.size(), expect.size());
+        for (std::size_t i = 0; i < expect.size(); ++i)
+            EXPECT_EQ(order[i], expect[i].second)
+                << i << (eq == &lane ? " (lane)" : "");
+    }
 }
 
 TEST(EventQueue, OversizedCaptureFallsBackToHeap)

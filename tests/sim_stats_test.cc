@@ -245,8 +245,8 @@ TEST(Histogram, SingleSampleIsExact)
 // variance, stddev, min, max and all percentiles — never NaN or a
 // division by zero; a SINGLE sample reports that sample exactly for
 // every percentile (interpolation clamps to [min, max]). BENCH_*.json
-// files are parsed by scripts/perf_check.py, and NaN is not valid
-// JSON, so any non-finite value here would corrupt the perf gate.
+// files are machine-parsed, and NaN is not valid JSON, so any
+// non-finite value here would corrupt them.
 // ---------------------------------------------------------------------
 
 TEST(Histogram, ZeroAndOneSamplePercentileTailsAreFinite)
@@ -294,7 +294,7 @@ TEST(StatGroup, EmptyAndSingleSampleDumpsStayFinite)
     EXPECT_DOUBLE_EQ(flat.at("edge.one_d.variance"), 0.0);
 
     // dumpJson: no NaN/inf tokens (NaN is invalid JSON and would
-    // corrupt BENCH_*.json for perf_check.py).
+    // corrupt BENCH_*.json).
     std::ostringstream json;
     g.dumpJson(json);
     const std::string js = json.str();
