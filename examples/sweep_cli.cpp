@@ -40,8 +40,7 @@
  *
  * Observability (sim mode):
  *   --trace-out=t.json     Chrome trace-event JSON (Perfetto-viewable;
- *                          also readable by tools/trace_report)
- *   --trace-text=t.txt     flat text trace, one event per line
+ *                          also readable by `mcube_report trace`)
  *   --trace-cap=N          trace ring capacity (default 65536 events)
  *   --metrics-out=m.jsonl  interval metrics snapshots, one JSON/line
  *   --metrics-period=T     snapshot period in ticks (default 50000)
@@ -58,10 +57,11 @@
  *                          plan exits 4 with the parse reason
  *                          (distinct from "cannot open", exit 2).
  *   --profile-out=p.json   self-profile of the *simulator* (host time
- *                          by component/domain + coupling analysis;
- *                          readable by tools/prof_report)
- *   --profile-folded=p.txt folded stacks of the same profile, for
- *                          flamegraph.pl
+ *                          by kind/component/domain, event-queue
+ *                          profile, embedded folded stacks); read it
+ *                          with `mcube_report prof` or turn it into
+ *                          flamegraph.pl input with
+ *                          `mcube_report folded`
  *   --progress             heartbeat on stderr while points run
  *                          (points done/total, events/s, ETA).
  *                          Off by default; forced off when stderr is
@@ -150,7 +150,6 @@ struct Options
     unsigned simThreads = 0;
     std::string parStatsOut;
     std::string traceOut;
-    std::string traceText;
     std::size_t traceCap = 1 << 16;
     std::string metricsOut;
     Tick metricsPeriod = 50'000;
@@ -159,7 +158,6 @@ struct Options
     FaultPlan faultPlan;
     bool haveFaultPlan = false;
     std::string profileOut;
-    std::string profileFolded;
     bool progress = false;
     std::uint64_t seed = SystemParams{}.seed;
     std::string journal;
@@ -219,8 +217,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.parStatsOut = val;
         else if (key == "trace-out")
             opt.traceOut = val;
-        else if (key == "trace-text")
-            opt.traceText = val;
         else if (key == "trace-cap")
             opt.traceCap = std::atoll(val.c_str());
         else if (key == "metrics-out")
@@ -233,8 +229,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.faultPlanPath = val;
         else if (key == "profile-out")
             opt.profileOut = val;
-        else if (key == "profile-folded")
-            opt.profileFolded = val;
         else if (key == "progress")
             opt.progress = val != "0";
         else if (key == "seed")
@@ -382,8 +376,7 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
     // built so construction-time scheduling is attributed too. The
     // profiler never touches simulation state, so the row is
     // byte-identical with profiling on or off.
-    bool profiling =
-        !opt.profileOut.empty() || !opt.profileFolded.empty();
+    const bool profiling = !opt.profileOut.empty();
     SimProfiler prof;
     if (profiling)
         prof.activate();
@@ -430,7 +423,7 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
         });
     }
 
-    bool tracing = !opt.traceOut.empty() || !opt.traceText.empty();
+    const bool tracing = !opt.traceOut.empty();
     TransactionTracer tracer(opt.traceCap);
     if (tracing)
         tracer.activate();
@@ -482,25 +475,13 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
 
     if (tracing) {
         tracer.deactivate();
-        if (!opt.traceOut.empty()) {
-            std::ofstream out(opt.traceOut);
-            tracer.exportChromeJson(out);
-        }
-        if (!opt.traceText.empty()) {
-            std::ofstream out(opt.traceText);
-            tracer.exportText(out);
-        }
+        std::ofstream out(opt.traceOut);
+        tracer.exportChromeJson(out);
     }
     if (profiling) {
         prof.deactivate();
-        if (!opt.profileOut.empty()) {
-            std::ofstream out(opt.profileOut);
-            prof.exportJson(out);
-        }
-        if (!opt.profileFolded.empty()) {
-            std::ofstream out(opt.profileFolded);
-            prof.exportFolded(out);
-        }
+        std::ofstream out(opt.profileOut);
+        prof.exportJson(out);
     }
     if (!opt.parStatsOut.empty() && sys.parallelEngine()) {
         std::ofstream out(opt.parStatsOut);
@@ -560,10 +541,8 @@ main(int argc, char **argv)
 
     unsigned jobs = sweep::resolveJobs(opt.jobs);
     const bool observing = !opt.traceOut.empty()
-                        || !opt.traceText.empty()
                         || !opt.metricsOut.empty()
-                        || !opt.profileOut.empty()
-                        || !opt.profileFolded.empty();
+                        || !opt.profileOut.empty();
     if (jobs > 1 && observing) {
         std::cerr << "sweep_cli: tracing/metrics/profiling are "
                      "process-global single-run tools; forcing "

@@ -135,11 +135,6 @@ Bus::enqueue(unsigned slot, BusOp op)
     slab[idx].op = op;
     slab[idx].enqTick = eq.now();
     slab[idx].next = noEntry;
-    // Coupling analysis: remember which domain's delivery enqueued
-    // this op. Cleared (not skipped) when profiling is off so a slab
-    // entry reused across an activate() can't carry a stale domain.
-    SimProfiler *prof = SimProfiler::active();
-    slab[idx].from = prof ? prof->currentDomain() : ProfDomain{};
     SlotQueue &q = queues[slot];
     if (q.tail == noEntry)
         q.head = idx;
@@ -194,7 +189,6 @@ Bus::tryArbitrate()
     std::uint32_t idx = q.head;
     BusOp op = slab[idx].op;
     Tick enq_tick = slab[idx].enqTick;
-    ProfDomain enq_from = slab[idx].from;
     q.head = slab[idx].next;
     if (q.head == noEntry)
         q.tail = noEntry;
@@ -224,13 +218,6 @@ Bus::tryArbitrate()
     } else if (_params.cutThrough && op.hasData) {
         deliver_at = _params.arbTicks + _params.headerTicks
                    + _params.wordTicks;
-    }
-
-    if (SimProfiler *prof = SimProfiler::active()) {
-        // Full enqueue-to-delivery latency: the minimum observed over
-        // cross-domain ops bounds how soon one domain can affect
-        // another — the conservative parallel-DES lookahead.
-        prof->onBusGrant(profDom, enq_from, qdelay + deliver_at);
     }
 
     if (deliver_at == occ) {

@@ -206,9 +206,6 @@ class Bus
     /** True once failStop() was called. */
     bool dead() const { return dead_; }
 
-    /** This bus's profiling domain (row i / col j / none). */
-    ProfDomain profDomain() const { return profDom; }
-
     /**
      * Pin this bus's internal events (arbitrate/deliver/release) to
      * parallel-engine lane @p lane (see sim/parallel_engine.hh). A
@@ -259,9 +256,6 @@ class Bus
         BusOp op;
         Tick enqTick = 0;
         std::uint32_t next = noEntry;
-        /** Domain context the op was enqueued under (coupling
-         *  analysis); stamped only while a profiler is active. */
-        ProfDomain from;
     };
 
     /** Head/tail slab indices of one slot's FIFO. */

@@ -16,8 +16,7 @@ MulticubeSystem::MulticubeSystem(const SystemParams &params)
     if (params.simThreads > 0) {
         // Window width: the minimum bus occupancy (arbitration +
         // header), i.e. the minimum cross-domain hop latency — the
-        // same conservative lookahead bound the coupling analyzer
-        // measures (docs/PERFORMANCE.md).
+        // conservative lookahead bound (docs/PERFORMANCE.md).
         const Tick window = std::max<Tick>(
             1, params.bus.arbTicks + params.bus.headerTicks);
         par = std::make_unique<ParallelEngine>(eq, n,

@@ -6,7 +6,7 @@
  * journal) and every tool's stdout should carry enough provenance to
  * re-run it: the binary's git revision and the effective command
  * line. sweep_cli pioneered the '#'-comment header; this header
- * centralizes the pieces so trace_report and fuzz_campaign emit the
+ * centralizes the pieces so mcube_report and fuzz_campaign emit the
  * same shape.
  */
 

@@ -2,13 +2,13 @@
  * @file
  * A minimal JSON value type: parse, build, serialize.
  *
- * The repo deliberately has no external JSON dependency; the trace
- * exporters hand-format their output and trace_report hand-parses it.
- * The fuzz-campaign subsystem, though, needs *round-tripping* —
- * a repro artifact written by one process must deserialize into the
- * exact same FaultPlan / RandomTesterParams in another — so this file
- * provides one small tree-shaped value type shared by everything that
- * persists configuration.
+ * The repo deliberately has no external JSON dependency. This one
+ * small tree-shaped value type is shared by everything that writes
+ * or reads JSON: fuzz repro artifacts (which must deserialize into
+ * the exact same FaultPlan / RandomTesterParams in another process),
+ * profiles, engine telemetry, and the trace and profile readers
+ * behind `mcube_report`. The Chrome trace exporter still formats its
+ * output by hand, streaming the ring without building a tree.
  *
  * Integers are stored as 64-bit (signed or unsigned) and only fall
  * back to double when the text has a fraction or exponent, so 64-bit

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "sim/json.hh"
 #include "sim/profiler.hh"
 #include "trace/trace_event.hh"
 
@@ -36,6 +37,21 @@ peakRssBytes()
     }
 #endif
     return 0;
+}
+
+/** Amdahl-style speedup for @p k workers: 1 / (serial + parallel *
+ *  imbalance / k), capped at k. */
+double
+amdahlSpeedup(double serial_frac, double parallel_frac, double imbalance,
+              unsigned k)
+{
+    if (k <= 1)
+        return 1.0;
+    const double denom =
+        serial_frac + parallel_frac * imbalance / static_cast<double>(k);
+    if (denom <= 0.0)
+        return static_cast<double>(k);
+    return std::min(1.0 / denom, static_cast<double>(k));
 }
 
 /** Execution context of the calling thread: set while a lane event
@@ -616,46 +632,42 @@ void
 ParallelEngine::telemetryJson(std::ostream &os) const
 {
     const Telemetry t = telemetry();
-    os << "{\n";
-    os << "  \"workers_requested\": " << t.workersRequested << ",\n";
-    os << "  \"workers_effective\": " << t.workersEffective << ",\n";
-    os << "  \"window_ticks\": " << t.windowTicks << ",\n";
-    os << "  \"windows\": " << t.windows << ",\n";
-    os << "  \"parallel_phases\": " << t.parallelPhases << ",\n";
-    os << "  \"events\": " << t.events << ",\n";
-    os << "  \"serial_events\": " << t.serialEvents << ",\n";
-    os << "  \"row_events\": " << t.rowEvents << ",\n";
-    os << "  \"col_events\": " << t.colEvents << ",\n";
-    os << "  \"cross_lane_ops\": " << t.crossLaneOps << ",\n";
-    os << "  \"wall_ns\": " << t.wallNs << ",\n";
-    os << "  \"serial_ns\": " << t.serialNs << ",\n";
-    os << "  \"row_phase_ns\": " << t.rowPhaseNs << ",\n";
-    os << "  \"col_phase_ns\": " << t.colPhaseNs << ",\n";
-    os << "  \"barrier_wait_ns\": " << t.barrierWaitNs << ",\n";
-    os << "  \"peak_rss_bytes\": " << t.peakRssBytes << ",\n";
+    auto array = [](const std::vector<std::uint64_t> &v) {
+        Json a = Json::array();
+        for (std::uint64_t x : v)
+            a.push(x);
+        return a;
+    };
+    Json j = Json::object();
+    j.set("workers_requested", t.workersRequested);
+    j.set("workers_effective", t.workersEffective);
+    j.set("window_ticks", t.windowTicks);
+    j.set("windows", t.windows);
+    j.set("parallel_phases", t.parallelPhases);
+    j.set("events", t.events);
+    j.set("serial_events", t.serialEvents);
+    j.set("row_events", t.rowEvents);
+    j.set("col_events", t.colEvents);
+    j.set("cross_lane_ops", t.crossLaneOps);
+    j.set("wall_ns", t.wallNs);
+    j.set("serial_ns", t.serialNs);
+    j.set("row_phase_ns", t.rowPhaseNs);
+    j.set("col_phase_ns", t.colPhaseNs);
+    j.set("barrier_wait_ns", t.barrierWaitNs);
+    j.set("peak_rss_bytes", t.peakRssBytes);
     // Serial-lane pressure as first-class columns: the quantity the
     // per-node home-lane sharding shrinks (docs/PERFORMANCE.md).
-    os << "  \"serial_frac_events\": " << t.serialFracEvents()
-       << ",\n";
-    os << "  \"serial_events_per_window\": "
-       << t.serialEventsPerWindow() << ",\n";
-    os << "  \"serial_ns_per_window\": " << t.serialNsPerWindow()
-       << ",\n";
-    os << "  \"parallel_frac_events\": " << t.parallelFracEvents()
-       << ",\n";
-    os << "  \"parallel_frac_ns\": " << t.parallelFracNs() << ",\n";
-    os << "  \"imbalance\": " << t.imbalance() << ",\n";
-    os << "  \"projected_speedup_at_workers\": "
-       << t.projectedSpeedup(t.workersEffective) << ",\n";
-    os << "  \"lane_events\": [";
-    for (std::size_t i = 0; i < t.laneEvents.size(); ++i)
-        os << (i ? ", " : "") << t.laneEvents[i];
-    os << "],\n";
-    os << "  \"worker_events\": [";
-    for (std::size_t i = 0; i < t.workerEvents.size(); ++i)
-        os << (i ? ", " : "") << t.workerEvents[i];
-    os << "]\n";
-    os << "}\n";
+    j.set("serial_frac_events", t.serialFracEvents());
+    j.set("serial_events_per_window", t.serialEventsPerWindow());
+    j.set("serial_ns_per_window", t.serialNsPerWindow());
+    j.set("parallel_frac_events", t.parallelFracEvents());
+    j.set("parallel_frac_ns", t.parallelFracNs());
+    j.set("imbalance", t.imbalance());
+    j.set("projected_speedup_at_workers",
+          t.projectedSpeedup(t.workersEffective));
+    j.set("lane_events", array(t.laneEvents));
+    j.set("worker_events", array(t.workerEvents));
+    os << j.dump(2) << "\n";
 }
 
 } // namespace mcube

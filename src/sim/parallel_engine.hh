@@ -10,10 +10,9 @@
  * *lanes* — one serial lane (workloads, controller timers, completion
  * callbacks), one lane per row bus and one per column bus — and
  * executes simulated time in fixed *windows* whose width is the
- * minimum bus occupancy (arbitration + header ticks): the same
- * minimum cross-domain hop latency the coupling analyzer
- * (src/sim/profiler.hh) measures as the safe conservative lookahead
- * bound.
+ * minimum bus occupancy (arbitration + header ticks): the minimum
+ * cross-domain hop latency, and so the safe conservative lookahead
+ * bound (MulticubeSystem's constructor sets it).
  *
  * Within one window [T, T + W):
  *

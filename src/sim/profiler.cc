@@ -1,6 +1,7 @@
 #include "sim/profiler.hh"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 
@@ -96,20 +97,16 @@ SimProfiler::push(ProfKind kind, std::uint32_t comp, ProfDomain d)
     }
     std::uint32_t prev = cur;
     cur = id;
-    if (d.dim != ProfDomain::Dim::None)
-        curDomain = d;
     return prev;
 }
 
 void
-SimProfiler::pop(std::uint32_t prev_node, ProfDomain prev_domain,
-                 std::uint64_t ns)
+SimProfiler::pop(std::uint32_t prev_node, std::uint64_t ns)
 {
     Node &n = nodes[cur];
     n.ns += ns;
     ++n.count;
     cur = prev_node;
-    curDomain = prev_domain;
 }
 
 void
@@ -130,38 +127,6 @@ SimProfiler::onExecute(Tick when, std::size_t heap_depth,
             batchHist.sample(static_cast<double>(batchLen));
         batchTick = when;
         batchLen = 1;
-    }
-}
-
-void
-SimProfiler::onBusGrant(ProfDomain bus, ProfDomain from,
-                        Tick total_latency)
-{
-    unsigned d;
-    if (bus.dim == ProfDomain::Dim::Row) {
-        if (rowOps.size() <= bus.index)
-            rowOps.resize(bus.index + 1, 0);
-        ++rowOps[bus.index];
-        d = 0;
-    } else if (bus.dim == ProfDomain::Dim::Col) {
-        if (colOps.size() <= bus.index)
-            colOps.resize(bus.index + 1, 0);
-        ++colOps[bus.index];
-        d = 1;
-    } else {
-        ++otherOps;
-        return;
-    }
-    if (opLatencyCount[d]++ == 0 || total_latency < minOpLatency[d])
-        minOpLatency[d] = total_latency;
-    opLatencyHist[d].sample(static_cast<double>(total_latency));
-
-    if (from.dim != ProfDomain::Dim::None && from != bus) {
-        unsigned c = from.dim != bus.dim
-                         ? (from.dim == ProfDomain::Dim::Row ? 0u : 1u)
-                         : 2u;
-        if (crossCount[c]++ == 0 || total_latency < crossMinLatency[c])
-            crossMinLatency[c] = total_latency;
     }
 }
 
@@ -213,34 +178,6 @@ SimProfiler::absorb(const SimProfiler &o)
         batchHist.sample(static_cast<double>(o.batchLen));
     slabHighWater = std::max(slabHighWater, o.slabHighWater);
     freeHighWater = std::max(freeHighWater, o.freeHighWater);
-
-    if (rowOps.size() < o.rowOps.size())
-        rowOps.resize(o.rowOps.size(), 0);
-    for (std::size_t i = 0; i < o.rowOps.size(); ++i)
-        rowOps[i] += o.rowOps[i];
-    if (colOps.size() < o.colOps.size())
-        colOps.resize(o.colOps.size(), 0);
-    for (std::size_t i = 0; i < o.colOps.size(); ++i)
-        colOps[i] += o.colOps[i];
-    otherOps += o.otherOps;
-
-    for (unsigned d = 0; d < 2; ++d) {
-        if (o.opLatencyCount[d]) {
-            if (opLatencyCount[d] == 0
-                || o.minOpLatency[d] < minOpLatency[d])
-                minOpLatency[d] = o.minOpLatency[d];
-            opLatencyCount[d] += o.opLatencyCount[d];
-        }
-        opLatencyHist[d].merge(o.opLatencyHist[d]);
-    }
-    for (unsigned c = 0; c < 3; ++c) {
-        if (o.crossCount[c]) {
-            if (crossCount[c] == 0
-                || o.crossMinLatency[c] < crossMinLatency[c])
-                crossMinLatency[c] = o.crossMinLatency[c];
-            crossCount[c] += o.crossCount[c];
-        }
-    }
 }
 
 void
@@ -251,7 +188,6 @@ SimProfiler::reset()
     nodes.emplace_back();  // root
     childIndex.clear();
     cur = 0;
-    curDomain = {};
     scopes = events = 0;
     totalWallNs = 0;
     depthHist.reset();
@@ -261,15 +197,6 @@ SimProfiler::reset()
     slabHighWater = freeHighWater = 0;
     batchTick = 0;
     batchLen = 0;
-    rowOps.clear();
-    colOps.clear();
-    otherOps = 0;
-    minOpLatency = {};
-    opLatencyCount = {};
-    for (auto &h : opLatencyHist)
-        h.reset();
-    crossCount = {};
-    crossMinLatency = {};
 }
 
 std::vector<std::uint64_t>
@@ -330,132 +257,8 @@ SimProfiler::frameLabel(const Node &n) const
     return "?";
 }
 
-double
-amdahlSpeedup(double serial_frac, double parallel_frac,
-              double imbalance, unsigned k)
-{
-    if (k <= 1)
-        return 1.0;
-    double denom =
-        serial_frac + parallel_frac * imbalance / static_cast<double>(k);
-    if (denom <= 0.0)
-        return static_cast<double>(k);
-    double s = 1.0 / denom;
-    return std::min(s, static_cast<double>(k));
-}
-
-double
-SimProfiler::ShardingView::speedupAt(unsigned k) const
-{
-    return amdahlSpeedup(serialFracNs, parallelFracNs, imbalance, k);
-}
-
 namespace
 {
-
-/** Per-domain self host-ns and the two sharding views derived from
- *  them — shared by summary() and toJson(). */
-struct DomainTimes
-{
-    std::vector<std::uint64_t> rowNs;
-    std::vector<std::uint64_t> colNs;
-    std::uint64_t rowTotal = 0;
-    std::uint64_t colTotal = 0;
-    std::uint64_t noneTotal = 0;
-
-    std::uint64_t total() const { return rowTotal + colTotal + noneTotal; }
-};
-
-double
-imbalanceOf(const std::vector<std::uint64_t> &ns)
-{
-    if (ns.empty())
-        return 1.0;
-    std::uint64_t mx = 0, sum = 0;
-    for (std::uint64_t v : ns) {
-        mx = std::max(mx, v);
-        sum += v;
-    }
-    if (sum == 0)
-        return 1.0;
-    double mean = static_cast<double>(sum)
-                / static_cast<double>(ns.size());
-    return std::max(1.0, static_cast<double>(mx) / mean);
-}
-
-} // namespace
-
-SimProfiler::Summary
-SimProfiler::summary() const
-{
-    Summary s;
-    s.wallNs = wallNs();
-    s.events = events;
-    s.scopes = scopes;
-    for (std::uint64_t v : rowOps)
-        s.rowOps += v;
-    for (std::uint64_t v : colOps)
-        s.colOps += v;
-    s.otherOps = otherOps;
-    s.crossOps = crossCount[0] + crossCount[1] + crossCount[2];
-
-    DomainTimes dt;
-    std::vector<std::uint64_t> self = selfNs();
-    for (std::size_t i = 1; i < nodes.size(); ++i) {
-        ProfDomain d = inheritedDomain(static_cast<std::uint32_t>(i));
-        switch (d.dim) {
-          case ProfDomain::Dim::Row:
-            if (dt.rowNs.size() <= d.index)
-                dt.rowNs.resize(d.index + 1, 0);
-            dt.rowNs[d.index] += self[i];
-            dt.rowTotal += self[i];
-            break;
-          case ProfDomain::Dim::Col:
-            if (dt.colNs.size() <= d.index)
-                dt.colNs.resize(d.index + 1, 0);
-            dt.colNs[d.index] += self[i];
-            dt.colTotal += self[i];
-            break;
-          case ProfDomain::Dim::None:
-            dt.noneTotal += self[i];
-            break;
-        }
-    }
-
-    std::uint64_t opsTotal = s.rowOps + s.colOps + s.otherOps;
-    double nsTotal = static_cast<double>(dt.total());
-
-    // Row-stripe sharding: every row bus (and the controller/MLT work
-    // its deliveries trigger) stays inside one shard; column buses are
-    // the coupling fabric. Untagged time (workload callbacks, event-
-    // loop overhead) shards with its issuing node, so it counts as
-    // parallelizable. Column-stripe is the mirror image.
-    s.row.parallelFracEvents =
-        opsTotal ? static_cast<double>(s.rowOps + s.otherOps)
-                       / static_cast<double>(opsTotal)
-                 : 0.0;
-    s.row.serialFracNs =
-        nsTotal > 0 ? static_cast<double>(dt.colTotal) / nsTotal : 0.0;
-    s.row.parallelFracNs = 1.0 - s.row.serialFracNs;
-    s.row.imbalance = imbalanceOf(dt.rowNs);
-    s.row.lookaheadTicks = opLatencyCount[1] ? minOpLatency[1] : 0;
-
-    s.col.parallelFracEvents =
-        opsTotal ? static_cast<double>(s.colOps + s.otherOps)
-                       / static_cast<double>(opsTotal)
-                 : 0.0;
-    s.col.serialFracNs =
-        nsTotal > 0 ? static_cast<double>(dt.rowTotal) / nsTotal : 0.0;
-    s.col.parallelFracNs = 1.0 - s.col.serialFracNs;
-    s.col.imbalance = imbalanceOf(dt.colNs);
-    s.col.lookaheadTicks = opLatencyCount[0] ? minOpLatency[0] : 0;
-    return s;
-}
-
-namespace
-{
-
-constexpr unsigned kProjectedShards[] = {2, 4, 8, 16, 32, 64};
 
 Json
 histJson(const Histogram &h)
@@ -471,39 +274,18 @@ histJson(const Histogram &h)
     return j;
 }
 
-Json
-shardingJson(const SimProfiler::ShardingView &v)
-{
-    Json j = Json::object();
-    j.set("parallel_frac_events", v.parallelFracEvents);
-    j.set("parallel_frac_ns", v.parallelFracNs);
-    j.set("serial_frac_ns", v.serialFracNs);
-    j.set("imbalance", v.imbalance);
-    j.set("lookahead_ticks", static_cast<std::uint64_t>(v.lookaheadTicks));
-    Json sp = Json::array();
-    for (unsigned k : kProjectedShards) {
-        Json e = Json::object();
-        e.set("k", k);
-        e.set("speedup", v.speedupAt(k));
-        sp.push(std::move(e));
-    }
-    j.set("projected_speedup", std::move(sp));
-    return j;
-}
-
 } // namespace
 
 Json
 SimProfiler::toJson() const
 {
-    Summary s = summary();
     std::vector<std::uint64_t> self = selfNs();
 
     Json j = Json::object();
-    j.set("profile_version", std::uint64_t{1});
-    j.set("wall_ns", s.wallNs);
-    j.set("events", s.events);
-    j.set("scopes", s.scopes);
+    j.set("profile_version", std::uint64_t{2});
+    j.set("wall_ns", wallNs());
+    j.set("events", events);
+    j.set("scopes", scopes);
 
     // Per-kind self/inclusive totals.
     std::array<std::uint64_t, std::size_t(ProfKind::NumKinds)> kindSelf{};
@@ -536,78 +318,42 @@ SimProfiler::toJson() const
     eq.set("free_list_high_water", freeHighWater);
     j.set("event_queue", std::move(eq));
 
-    // Per-domain self ns + grant counts.
-    DomainTimes dt;
+    // Per-domain self ns.
+    std::vector<std::uint64_t> rowNs, colNs;
+    std::uint64_t rowTotal = 0, colTotal = 0, noneTotal = 0;
     for (std::size_t i = 1; i < nodes.size(); ++i) {
         ProfDomain d = inheritedDomain(static_cast<std::uint32_t>(i));
         if (d.dim == ProfDomain::Dim::Row) {
-            if (dt.rowNs.size() <= d.index)
-                dt.rowNs.resize(d.index + 1, 0);
-            dt.rowNs[d.index] += self[i];
-            dt.rowTotal += self[i];
+            if (rowNs.size() <= d.index)
+                rowNs.resize(d.index + 1, 0);
+            rowNs[d.index] += self[i];
+            rowTotal += self[i];
         } else if (d.dim == ProfDomain::Dim::Col) {
-            if (dt.colNs.size() <= d.index)
-                dt.colNs.resize(d.index + 1, 0);
-            dt.colNs[d.index] += self[i];
-            dt.colTotal += self[i];
+            if (colNs.size() <= d.index)
+                colNs.resize(d.index + 1, 0);
+            colNs[d.index] += self[i];
+            colTotal += self[i];
         } else {
-            dt.noneTotal += self[i];
+            noneTotal += self[i];
         }
     }
-    auto domainArray = [](const std::vector<std::uint64_t> &ns,
-                          const std::vector<std::uint64_t> &ops) {
+    auto domainArray = [](const std::vector<std::uint64_t> &ns) {
         Json arr = Json::array();
-        std::size_t n = std::max(ns.size(), ops.size());
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < ns.size(); ++i) {
             Json e = Json::object();
             e.set("index", static_cast<std::uint64_t>(i));
-            e.set("self_ns", i < ns.size() ? ns[i] : 0);
-            e.set("ops", i < ops.size() ? ops[i] : 0);
+            e.set("self_ns", ns[i]);
             arr.push(std::move(e));
         }
         return arr;
     };
     Json domains = Json::object();
-    domains.set("rows", domainArray(dt.rowNs, rowOps));
-    domains.set("cols", domainArray(dt.colNs, colOps));
-    domains.set("row_ns", dt.rowTotal);
-    domains.set("col_ns", dt.colTotal);
-    domains.set("unattributed_ns", dt.noneTotal);
+    domains.set("rows", domainArray(rowNs));
+    domains.set("cols", domainArray(colNs));
+    domains.set("row_ns", rowTotal);
+    domains.set("col_ns", colTotal);
+    domains.set("unattributed_ns", noneTotal);
     j.set("domains", std::move(domains));
-
-    Json coupling = Json::object();
-    Json ops = Json::object();
-    ops.set("row", s.rowOps);
-    ops.set("col", s.colOps);
-    ops.set("other", s.otherOps);
-    coupling.set("bus_ops", std::move(ops));
-    Json lat = Json::object();
-    lat.set("row_min",
-            opLatencyCount[0] ? static_cast<std::uint64_t>(minOpLatency[0])
-                              : 0);
-    lat.set("col_min",
-            opLatencyCount[1] ? static_cast<std::uint64_t>(minOpLatency[1])
-                              : 0);
-    lat.set("row", histJson(opLatencyHist[0]));
-    lat.set("col", histJson(opLatencyHist[1]));
-    coupling.set("op_latency_ticks", std::move(lat));
-    static const char *kCrossNames[3] = {"row_to_col", "col_to_row",
-                                         "same_dim"};
-    Json cross = Json::object();
-    for (unsigned c = 0; c < 3; ++c) {
-        Json e = Json::object();
-        e.set("count", crossCount[c]);
-        e.set("min_latency_ticks",
-              crossCount[c] ? static_cast<std::uint64_t>(crossMinLatency[c])
-                            : 0);
-        cross.set(kCrossNames[c], std::move(e));
-    }
-    coupling.set("cross", std::move(cross));
-    Json sharding = Json::object();
-    sharding.set("row_stripe", shardingJson(s.row));
-    sharding.set("col_stripe", shardingJson(s.col));
-    coupling.set("sharding", std::move(sharding));
-    j.set("coupling", std::move(coupling));
 
     // Folded stacks, embedded so one JSON file carries everything.
     Json stacks = Json::array();
@@ -634,21 +380,6 @@ SimProfiler::exportJson(std::ostream &os) const
 {
     os << toJson().dump(2);
     os << "\n";
-}
-
-void
-SimProfiler::exportFolded(std::ostream &os) const
-{
-    std::vector<std::uint64_t> self = selfNs();
-    std::vector<std::string> labels(nodes.size());
-    for (std::size_t i = 1; i < nodes.size(); ++i) {
-        const Node &n = nodes[i];
-        labels[i] = n.parent == 0
-                        ? frameLabel(n)
-                        : labels[n.parent] + ";" + frameLabel(n);
-        if (self[i])
-            os << labels[i] << " " << self[i] << "\n";
-    }
 }
 
 namespace
@@ -689,25 +420,13 @@ histLine(std::ostream &os, const char *name, const Json &h)
     os << buf << "\n";
 }
 
-void
-shardingReport(std::ostream &os, const char *name, const Json &v)
+/** v1 profiles carry an extra coupling block and per-domain op
+ *  counts; every key read here is common to v1 and v2. */
+bool
+isProfile(const Json &profile)
 {
-    char imb[32];
-    std::snprintf(imb, sizeof imb, "%.2f", v.num("imbalance", 1));
-    os << "  " << name << ": parallel "
-       << fmtPct(v.num("parallel_frac_ns", 0)) << " of host-ns ("
-       << fmtPct(v.num("parallel_frac_events", 0)) << " of bus grants), "
-       << "imbalance " << imb << ", lookahead "
-       << v.u64("lookahead_ticks", 0) << " ticks\n"
-       << "    projected speedup:";
-    const Json &sp = v.at("projected_speedup");
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "  k=%" PRIu64 " %.2fx",
-                      sp.at(i).u64("k", 0), sp.at(i).num("speedup", 0));
-        os << buf;
-    }
-    os << "\n";
+    const std::uint64_t v = profile.u64("profile_version", 0);
+    return v == 1 || v == 2;
 }
 
 } // namespace
@@ -715,7 +434,7 @@ shardingReport(std::ostream &os, const char *name, const Json &v)
 bool
 profReport(const Json &profile, std::ostream &os)
 {
-    if (profile.u64("profile_version", 0) != 1)
+    if (!isProfile(profile))
         return false;
 
     auto wallNs = static_cast<double>(profile.u64("wall_ns", 0));
@@ -767,38 +486,18 @@ profReport(const Json &profile, std::ostream &os)
     os << "  unattributed " << fmtPct(domTotal > 0 ? noneNs / domTotal : 0)
        << "  " << fmtNs(noneNs) << "\n";
 
-    const Json &coupling = profile.at("coupling");
-    const Json &ops = coupling.at("bus_ops");
-    std::uint64_t rowOps = ops.u64("row", 0);
-    std::uint64_t colOps = ops.u64("col", 0);
-    std::uint64_t opsTotal = rowOps + colOps + ops.u64("other", 0);
-    const Json &cross = coupling.at("cross");
-    std::uint64_t crossOps = cross.at("row_to_col").u64("count", 0)
-                           + cross.at("col_to_row").u64("count", 0)
-                           + cross.at("same_dim").u64("count", 0);
-    os << "coupling:\n";
-    os << "  bus grants: row " << rowOps << " ("
-       << fmtPct(opsTotal ? double(rowOps) / double(opsTotal) : 0)
-       << "), col " << colOps << " ("
-       << fmtPct(opsTotal ? double(colOps) / double(opsTotal) : 0)
-       << ")\n";
-    os << "  cross-domain enqueues: " << crossOps << " ("
-       << fmtPct(opsTotal ? double(crossOps) / double(opsTotal) : 0)
-       << " of grants); row->col "
-       << cross.at("row_to_col").u64("count", 0) << " (min "
-       << cross.at("row_to_col").u64("min_latency_ticks", 0)
-       << " ticks), col->row " << cross.at("col_to_row").u64("count", 0)
-       << " (min " << cross.at("col_to_row").u64("min_latency_ticks", 0)
-       << " ticks)\n";
-    const Json &lat = coupling.at("op_latency_ticks");
-    os << "  min enqueue->delivery: row " << lat.u64("row_min", 0)
-       << " ticks, col " << lat.u64("col_min", 0) << " ticks\n";
+    return true;
+}
 
-    os << "parallelism readiness (Amdahl projection, measured "
-          "imbalance):\n";
-    const Json &sharding = coupling.at("sharding");
-    shardingReport(os, "row-stripe", sharding.at("row_stripe"));
-    shardingReport(os, "col-stripe", sharding.at("col_stripe"));
+bool
+profFolded(const Json &profile, std::ostream &os)
+{
+    if (!isProfile(profile))
+        return false;
+    const Json &stacks = profile.at("stacks");
+    for (std::size_t i = 0; i < stacks.size(); ++i)
+        os << stacks.at(i).str("stack") << " "
+           << stacks.at(i).u64("self_ns", 0) << "\n";
     return true;
 }
 

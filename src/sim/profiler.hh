@@ -1,27 +1,22 @@
 /**
  * @file
- * Self-profiling for the simulator: where does *host* time go, and
- * how parallelizable is the grid really?
+ * Self-profiling for the simulator: where does *host* time go?
  *
- * Three concerns share one subsystem because they share one hook set:
+ * Two concerns share one subsystem because they share one hook set:
  *
  *  - a scoped wall-clock profiler attributing host nanoseconds to
  *    event kinds (event loop, bus arbitration/delivery, controller
  *    snoops, MLT, memory, checker, fault injector), to individual
  *    components, and to event *domains* (row bus i / column bus j) —
- *    the call tree accumulates into a path trie exported as JSON and
- *    as folded stacks (flamegraph.pl compatible);
+ *    the call tree accumulates into a path trie exported as JSON, with
+ *    its folded stacks (flamegraph.pl compatible) embedded;
  *  - an event-queue profile: heap depth per executed event, same-tick
  *    batch sizes, slab/free-list occupancy, and the schedule-horizon
- *    distribution (how far ahead events are scheduled — the raw
- *    material of any conservative-parallel lookahead argument);
- *  - a coupling analyzer: every bus grant is classified as
- *    intra-domain or cross-domain using the domain context the op was
- *    *enqueued* from, yielding the parallelizable event fraction,
- *    per-domain load imbalance, the minimum observed enqueue-to-
- *    delivery latency (the safe conservative lookahead bound), and an
- *    Amdahl-style projected speedup for k shards under row-stripe and
- *    column-stripe decompositions.
+ *    distribution (how far ahead events are scheduled).
+ *
+ * The profiler attributes; it does not predict. How much of the grid
+ * actually runs in parallel is measured by the parallel engine's
+ * telemetry (ParallelEngine::Telemetry, sweep_cli --par-stats-out).
  *
  * Cost contract (same discipline as MCUBE_TRACE / MCUBE_LOG): when no
  * profiler is active every hook is one thread-local pointer load and
@@ -38,7 +33,6 @@
 #ifndef MCUBE_SIM_PROFILER_HH
 #define MCUBE_SIM_PROFILER_HH
 
-#include <array>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
@@ -72,16 +66,6 @@ enum class ProfKind : std::uint8_t
 const char *toString(ProfKind kind);
 
 /**
- * Amdahl-style speedup for @p k shards: 1 / (serial + parallel *
- * imbalance / k), capped at k. Shared by the coupling analyzer's
- * projection (ShardingView::speedupAt) and the parallel engine's
- * realized-vs-projected telemetry (ParallelEngine::Telemetry), so the
- * two always agree on the model.
- */
-double amdahlSpeedup(double serial_frac, double parallel_frac,
-                     double imbalance, unsigned k);
-
-/**
  * The domain an event belongs to: one row bus, one column bus, or
  * none (workload callbacks, timers, anything not tied to a bus).
  */
@@ -91,12 +75,6 @@ struct ProfDomain
 
     Dim dim = Dim::None;
     std::uint16_t index = 0;
-
-    bool operator==(const ProfDomain &o) const
-    {
-        return dim == o.dim && index == o.index;
-    }
-    bool operator!=(const ProfDomain &o) const { return !(*this == o); }
 };
 
 /**
@@ -152,29 +130,14 @@ class SimProfiler
      *  (or creates) the trie child for the frame and returns the
      *  previous position; pop() charges @p ns and restores it. */
     std::uint32_t push(ProfKind kind, std::uint32_t comp, ProfDomain d);
-    void pop(std::uint32_t prev_node, ProfDomain prev_domain,
-             std::uint64_t ns);
+    void pop(std::uint32_t prev_node, std::uint64_t ns);
     /** @} */
-
-    /** Domain context of the innermost enclosing scope that declared
-     *  one (None outside any bus work). Read by Bus::enqueue to stamp
-     *  ops with their *origin* domain. */
-    ProfDomain currentDomain() const { return curDomain; }
 
     /** @{ Event-queue feed (EventQueue hooks). */
     void onSchedule(Tick horizon) { horizonHist.sample(double(horizon)); }
     void onExecute(Tick when, std::size_t heap_depth,
                    std::size_t slab_slots, std::size_t free_slots);
     /** @} */
-
-    /**
-     * Coupling feed: one bus grant. @p bus is the granting bus's
-     * domain, @p from the domain context the op was enqueued under,
-     * @p total_latency the full enqueue-to-delivery tick count
-     * (queue delay + arbitration + transfer until delivery) — the
-     * quantity whose minimum is the conservative lookahead bound.
-     */
-    void onBusGrant(ProfDomain bus, ProfDomain from, Tick total_latency);
 
     /** Scopes entered so far (diagnostic / test hook). */
     std::uint64_t scopeCount() const { return scopes; }
@@ -186,53 +149,19 @@ class SimProfiler
      *  while still active). */
     std::uint64_t wallNs() const;
 
-    /** One sharding decomposition's parallelism-readiness numbers. */
-    struct ShardingView
-    {
-        double parallelFracEvents = 0.0; //!< intra-domain bus-op share
-        double parallelFracNs = 0.0;     //!< intra-domain host-ns share
-        double serialFracNs = 0.0;       //!< cross-domain host-ns share
-        double imbalance = 1.0;          //!< max/mean per-domain ns
-        Tick lookaheadTicks = 0;         //!< min cross-feed latency
-
-        /** Amdahl-style projection for @p k shards (>= 1), capped
-         *  at k. */
-        double speedupAt(unsigned k) const;
-    };
-
-    struct Summary
-    {
-        std::uint64_t wallNs = 0;
-        std::uint64_t events = 0;
-        std::uint64_t scopes = 0;
-        std::uint64_t rowOps = 0;   //!< grants on row buses
-        std::uint64_t colOps = 0;   //!< grants on column buses
-        std::uint64_t otherOps = 0; //!< grants on undimensioned buses
-        std::uint64_t crossOps = 0; //!< grants enqueued cross-domain
-        ShardingView row;           //!< row-stripe decomposition
-        ShardingView col;           //!< column-stripe decomposition
-    };
-
-    Summary summary() const;
-
-    /** Build the full profile as a JSON tree (schema v1; see
-     *  docs/OBSERVABILITY.md). */
+    /** Build the full profile as a JSON tree (schema v2; see
+     *  docs/OBSERVABILITY.md). Its `stacks` array holds the call trie
+     *  as folded stacks (see profFolded). */
     Json toJson() const;
 
     /** Write toJson() to @p os (pretty-printed). */
     void exportJson(std::ostream &os) const;
 
-    /** Write the call trie as folded stacks: one
-     *  "frame;frame;frame <self_ns>" line per trie path with nonzero
-     *  self time — flamegraph.pl's input format. */
-    void exportFolded(std::ostream &os) const;
-
     /**
      * Fold another profiler's accumulated data into this one: trie
      * nodes are matched (or created) path-by-path and their ns/count
-     * charged here, the event-queue and coupling histograms merge
-     * bucket-exact, and the min-latency lookahead bounds take the
-     * elementwise minimum. Wall-clock bookkeeping (activation time,
+     * charged here, and the event-queue histograms merge
+     * bucket-exact. Wall-clock bookkeeping (activation time,
      * accumulated wall ns) is deliberately untouched — it describes
      * *this* profiler's activation span, not the shard's.
      *
@@ -245,8 +174,8 @@ class SimProfiler
     void absorb(const SimProfiler &o);
 
     /**
-     * Drop all accumulated data (trie, histograms, coupling state) so
-     * the profiler can be reused as a fresh shard after absorb().
+     * Drop all accumulated data (trie, histograms) so the profiler
+     * can be reused as a fresh shard after absorb().
      * Must not be called mid-scope. Wall-clock bookkeeping is reset
      * too; activation state is untouched.
      */
@@ -279,7 +208,6 @@ class SimProfiler
     std::vector<Node> nodes;           //!< trie; node 0 is the root
     FlatMap<std::uint64_t, std::uint32_t> childIndex;
     std::uint32_t cur = 0;             //!< current trie position
-    ProfDomain curDomain;
 
     std::uint64_t scopes = 0;
     std::uint64_t events = 0;
@@ -295,20 +223,6 @@ class SimProfiler
     std::uint64_t freeHighWater = 0;
     Tick batchTick = 0;
     std::uint64_t batchLen = 0;
-
-    // Coupling analyzer. Per-domain grant counts grow on demand.
-    std::vector<std::uint64_t> rowOps;
-    std::vector<std::uint64_t> colOps;
-    std::uint64_t otherOps = 0;
-    /** Min observed enqueue-to-delivery ticks per bus dimension
-     *  (index 0 row, 1 col); 0 count means none observed. */
-    std::array<Tick, 2> minOpLatency{};
-    std::array<std::uint64_t, 2> opLatencyCount{};
-    std::array<Histogram, 2> opLatencyHist;
-    /** Cross-domain grants by (from dim, to dim), dims in {row, col}:
-     *  [0]=row->col [1]=col->row [2]=same-dim different-index. */
-    std::array<std::uint64_t, 3> crossCount{};
-    std::array<Tick, 3> crossMinLatency{};
 };
 
 /**
@@ -325,7 +239,6 @@ class ProfScope
     {
         if (!p)
             return;
-        prevDomain = p->currentDomain();
         prevNode = p->push(kind, comp, domain);
         t0 = SimProfiler::nowNs();
     }
@@ -333,7 +246,7 @@ class ProfScope
     ~ProfScope()
     {
         if (prof)
-            prof->pop(prevNode, prevDomain, SimProfiler::nowNs() - t0);
+            prof->pop(prevNode, SimProfiler::nowNs() - t0);
     }
 
     ProfScope(const ProfScope &) = delete;
@@ -342,7 +255,6 @@ class ProfScope
   private:
     SimProfiler *prof;
     std::uint32_t prevNode = 0;
-    ProfDomain prevDomain;
     std::uint64_t t0 = 0;
 };
 
@@ -355,12 +267,19 @@ class ProfScope
                            (comp), domain)
 
 /**
- * Print the human-readable parallelism-readiness report from a parsed
- * profile JSON (the exact file exportJson writes — tools/prof_report
- * round-trips through this, so "parses its own output" holds by
- * construction). @return false if @p profile lacks the v1 schema.
+ * Print the human-readable host-time report from a parsed profile
+ * JSON (the exact file exportJson writes; `mcube_report prof`).
+ * @return false if @p profile is not a profile JSON.
  */
 bool profReport(const Json &profile, std::ostream &os);
+
+/**
+ * Print a parsed profile's embedded `stacks` as folded stacks: one
+ * "frame;frame;frame <self_ns>" line per trie path with nonzero self
+ * time — flamegraph.pl's input format (`mcube_report folded`).
+ * @return false if @p profile is not a profile JSON.
+ */
+bool profFolded(const Json &profile, std::ostream &os);
 
 } // namespace mcube
 

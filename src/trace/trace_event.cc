@@ -217,21 +217,4 @@ TransactionTracer::exportChromeJson(std::ostream &os) const
     os << "\n],\"displayTimeUnit\":\"ns\"}\n";
 }
 
-void
-TransactionTracer::exportText(std::ostream &os) const
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceEvent &ev = at(i);
-        os << ev.tick << " " << toString(ev.comp) << ev.compIndex << " "
-           << toString(ev.phase) << " " << toString(ev.txn)
-           << " addr=" << ev.addr << " org=";
-        if (ev.origin == invalidNode)
-            os << "-";
-        else
-            os << ev.origin;
-        os << " seq=" << ev.reqSeq << " serial=" << ev.serial
-           << " params=" << ev.params << " aux=" << ev.aux << "\n";
-    }
-}
-
 } // namespace mcube

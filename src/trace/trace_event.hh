@@ -13,13 +13,11 @@
  * Model components emit compact fixed-size TraceEvents through the
  * MCUBE_TRACE macro into a bounded ring buffer (oldest events are
  * overwritten once the buffer is full, so memory stays bounded on
- * arbitrarily long runs). The buffer exports as
- *
- *  - Chrome trace-event JSON (open in Perfetto / chrome://tracing):
- *    one instant event per TraceEvent plus one derived duration slice
- *    per completed transaction (issue -> complete, keyed by
- *    originator and transaction-instance id), and
- *  - a flat text form, one event per line, for grepping.
+ * arbitrarily long runs). The buffer exports as Chrome trace-event
+ * JSON (open in Perfetto / chrome://tracing): one instant event per
+ * TraceEvent plus one derived duration slice per completed
+ * transaction (issue -> complete, keyed by originator and
+ * transaction-instance id). `mcube_report trace` reads it back.
  *
  * Tracing is disabled by default and costs one static pointer load
  * and branch per site — the same zero-cost-when-disabled discipline
@@ -159,9 +157,6 @@ class TransactionTracer
 
     /** Write Chrome trace-event JSON (Perfetto / chrome://tracing). */
     void exportChromeJson(std::ostream &os) const;
-
-    /** Write the flat text form, one event per line. */
-    void exportText(std::ostream &os) const;
 
   private:
     static thread_local TransactionTracer *gActive;

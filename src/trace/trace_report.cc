@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iomanip>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 namespace mcube::tracereport
@@ -26,95 +26,36 @@ struct Ev
     std::uint64_t addr = 0;
     long long origin = -1;
     std::uint64_t reqSeq = 0;
-    std::uint64_t serial = 0;
     std::uint64_t params = 0;
     long long aux = 0;
 };
 
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-/** Extract the number following @p key in @p line, or @p dflt. */
-long long
-numAfter(const std::string &line, const std::string &key, long long dflt)
-{
-    auto pos = line.find(key);
-    if (pos == std::string::npos)
-        return dflt;
-    return std::atoll(line.c_str() + pos + key.size());
-}
-
-/** Extract the quoted string following @p key in @p line. */
-std::string
-strAfter(const std::string &line, const std::string &key)
-{
-    auto pos = line.find(key);
-    if (pos == std::string::npos)
-        return "";
-    pos += key.size();
-    auto end = line.find('"', pos);
-    if (end == std::string::npos)
-        return "";
-    return line.substr(pos, end - pos);
-}
-
-/** One instant-event line of our Chrome JSON export. */
-bool
-parseJsonLine(const std::string &line, Ev &ev)
-{
-    if (line.find("\"ph\":\"i\"") == std::string::npos)
-        return false;
-    ev.phase = strAfter(line, "\"name\":\"");
-    ev.tick = numAfter(line, "\"tick\":", 0);
-    ev.txn = strAfter(line, "\"txn\":\"");
-    ev.addr = numAfter(line, "\"addr\":", 0);
-    ev.origin = numAfter(line, "\"origin\":", -1);
-    ev.reqSeq = numAfter(line, "\"reqSeq\":", 0);
-    ev.serial = numAfter(line, "\"serial\":", 0);
-    ev.params = numAfter(line, "\"params\":", 0);
-    ev.aux = numAfter(line, "\"aux\":", 0);
-    ev.comp = strAfter(line, "\"comp\":\"");
-    return !ev.phase.empty();
-}
-
-/** One line of the flat text export:
- *  tick comp phase txn addr=A org=O seq=S serial=R params=P aux=X */
-bool
-parseTextLine(const std::string &line, Ev &ev)
-{
-    std::istringstream iss(line);
-    if (!(iss >> ev.tick >> ev.comp >> ev.phase >> ev.txn))
-        return false;
-    ev.addr = numAfter(line, "addr=", 0);
-    auto pos = line.find("org=");
-    ev.origin = (pos != std::string::npos && line[pos + 4] == '-')
-                  ? -1
-                  : numAfter(line, "org=", -1);
-    ev.reqSeq = numAfter(line, "seq=", 0);
-    ev.serial = numAfter(line, "serial=", 0);
-    ev.params = numAfter(line, "params=", 0);
-    ev.aux = numAfter(line, "aux=", 0);
-    return true;
-}
-
+/** The instant events of a Chrome trace export, in file order
+ *  (metadata and derived duration slices are skipped). */
 std::vector<Ev>
-parseFile(std::istream &in)
+parseTrace(std::istream &in)
 {
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Json doc = Json::parse(text.str());
+    const Json &all = doc.at("traceEvents");
     std::vector<Ev> evs;
-    std::string line;
-    bool json = false;
-    bool sniffed = false;
-    while (std::getline(in, line)) {
-        if (!sniffed) {
-            auto c = line.find_first_not_of(" \t");
-            if (c == std::string::npos)
-                continue;
-            json = line[c] == '{';
-            sniffed = true;
-        }
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const Json &e = all.at(i);
+        if (e.str("ph") != "i")
+            continue;
+        const Json &args = e.at("args");
         Ev ev;
-        if (json ? parseJsonLine(line, ev) : parseTextLine(line, ev))
+        ev.phase = e.str("name");
+        ev.tick = args.u64("tick", 0);
+        ev.txn = args.str("txn");
+        ev.addr = args.u64("addr", 0);
+        ev.origin = args.i64("origin", -1);
+        ev.reqSeq = args.u64("reqSeq", 0);
+        ev.params = args.u64("params", 0);
+        ev.aux = args.i64("aux", 0);
+        ev.comp = args.str("comp");
+        if (!ev.phase.empty())
             evs.push_back(std::move(ev));
     }
     return evs;
@@ -207,7 +148,7 @@ printTxn(std::ostream &os, const Txn &t, unsigned rank)
 int
 report(std::istream &in, std::ostream &os, const Options &opt)
 {
-    std::vector<Ev> evs = parseFile(in);
+    std::vector<Ev> evs = parseTrace(in);
     if (evs.empty())
         return 1;
 

@@ -2,14 +2,13 @@
  * @file
  * Transaction-lifecycle report over a trace export, as a library.
  *
- * The logic behind tools/trace_report: parse either export format of
- * TransactionTracer (Chrome trace-event JSON or the flat text form,
- * detected automatically), reconstruct transaction instances keyed by
- * (originator, reqSeq), and print a latency summary plus the top-K
- * slowest completed transactions with a per-hop breakdown. Living in
- * the library lets tests drive the exact CLI logic over in-memory
- * streams (see tests/trace_report_test.cc) instead of fork/exec'ing
- * the binary.
+ * The logic behind `mcube_report trace`: parse TransactionTracer's
+ * Chrome trace-event JSON export with Json::parse, reconstruct
+ * transaction instances keyed by (originator, reqSeq), and print a
+ * latency summary plus the top-K slowest completed transactions with
+ * a per-hop breakdown. Living in the library lets tests drive the
+ * exact CLI logic over in-memory streams (see
+ * tests/trace_report_test.cc) instead of fork/exec'ing the binary.
  */
 
 #ifndef MCUBE_TRACE_TRACE_REPORT_HH
@@ -28,8 +27,9 @@ struct Options
 };
 
 /**
- * Read one trace export from @p in and write the report to @p os.
- * @return 0 on success, 1 if @p in held no recognizable trace events.
+ * Read one Chrome trace export from @p in and write the report to
+ * @p os. @return 0 on success, 1 if @p in held no trace events
+ * (including input that is not JSON).
  */
 int report(std::istream &in, std::ostream &os, const Options &opt = {});
 

@@ -16,8 +16,9 @@
  * 1 and 4 workers must leave results untouched and export the same
  * trace bit-for-bit), the hard-error contract for past-tick
  * scheduling in parallel mode (a death test — sequentially the queue
- * clamps and counts instead), drain termination, and telemetry
- * consistency.
+ * clamps and counts instead), drain termination, telemetry
+ * consistency, the bounds of the Amdahl projection, and the shape of
+ * the --par-stats-out JSON.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "core/system.hh"
 #include "proc/mix_workload.hh"
 #include "proc/random_tester.hh"
+#include "sim/json.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/profiler.hh"
 #include "trace/trace_event.hh"
@@ -97,7 +99,7 @@ expectIdentical(const RunOutcome &ref, const RunOutcome &got,
 struct ObservedOutcome
 {
     RunOutcome run;
-    std::string traceText;
+    std::string traceJson;
     std::uint64_t profEvents = 0;
 };
 
@@ -116,9 +118,9 @@ runMixObserved(unsigned n, unsigned threads, std::uint64_t seed,
     tracer.deactivate();
     prof.deactivate();
     std::ostringstream os;
-    tracer.exportText(os);
-    out.traceText = os.str();
-    out.profEvents = prof.summary().events;
+    tracer.exportChromeJson(os);
+    out.traceJson = os.str();
+    out.profEvents = prof.eventCount();
     return out;
 }
 
@@ -157,7 +159,7 @@ TEST(ParallelEngine, ObserversComposeAndPreserveDeterminism)
     //
     //  - observers ON vs OFF: identical stat tree (1 worker);
     //  - observers ON, 1 vs 4 workers: identical stat tree AND a
-    //    bit-identical flat trace export;
+    //    bit-identical Chrome trace export;
     //  - both observers actually saw the run (no silent no-op pass).
     //
     // The tsan CI job runs this binary, so the same sweep doubles as
@@ -175,10 +177,10 @@ TEST(ParallelEngine, ObserversComposeAndPreserveDeterminism)
 
     EXPECT_GT(obs1.profEvents, 0u);
     EXPECT_GT(obs4.profEvents, 0u);
-    ASSERT_FALSE(obs1.traceText.empty());
+    ASSERT_NE(obs1.traceJson.find("\"ph\":\"i\""), std::string::npos);
     // Bit-identical contract: the canonically merged trace stream is a
     // function of the configuration, not of the worker count.
-    EXPECT_EQ(obs1.traceText, obs4.traceText);
+    EXPECT_EQ(obs1.traceJson, obs4.traceJson);
 }
 
 TEST(ParallelEngine, CheckerComposesWithBarrierChecks)
@@ -275,6 +277,73 @@ TEST(ParallelEngine, TelemetryAccountsForEveryEvent)
     EXPECT_GE(proj, 1.0);
     EXPECT_LE(proj, 4.0);
     EXPECT_EQ(t.events, sys.eventQueue().eventsExecuted());
+}
+
+TEST(ParallelEngine, ProjectedSpeedupIsBoundedAndMonotone)
+{
+    // Hand-built telemetry spanning the regimes the projection meets:
+    // mostly parallel and balanced, half serial, and an imbalance
+    // above 2, where the honest 2-worker projection is a net loss.
+    struct Case
+    {
+        std::uint64_t serialNs, rowNs, colNs;
+        std::vector<std::uint64_t> laneEvents;  // [0] is the serial lane
+    };
+    const Case cases[] = {
+        {100, 450, 450, {10, 50, 50, 50, 50}},
+        {500, 250, 250, {10, 40, 60, 50, 50}},
+        {50, 900, 50, {10, 1000, 10, 10, 10}},
+    };
+    for (const Case &c : cases) {
+        ParallelEngine::Telemetry t;
+        t.serialNs = c.serialNs;
+        t.rowPhaseNs = c.rowNs;
+        t.colPhaseNs = c.colNs;
+        t.laneEvents = c.laneEvents;
+        // k=1 is pinned to exactly 1.0 and excluded from the monotone
+        // sweep: with imbalance > 2 the 2-worker projection is < 1.
+        EXPECT_DOUBLE_EQ(t.projectedSpeedup(1), 1.0);
+        double prev = 0.0;
+        for (unsigned k : {2u, 4u, 8u, 16u, 32u}) {
+            const double sp = t.projectedSpeedup(k);
+            EXPECT_GE(sp, prev * (1.0 - 1e-12)) << "k=" << k;
+            EXPECT_LE(sp, static_cast<double>(k) + 1e-9) << "k=" << k;
+            prev = sp;
+        }
+    }
+}
+
+TEST(ParallelEngine, TelemetryJsonCarriesCanaryKeys)
+{
+    SystemParams sp;
+    sp.n = 4;
+    sp.simThreads = 2;
+    MulticubeSystem sys(sp);
+    MixParams mix;
+    mix.requestsPerMs = 50.0;
+    MixWorkload wl(sys, mix);
+    wl.start();
+    sys.run(100'000);
+    wl.stop();
+    ASSERT_TRUE(sys.drain());
+    ASSERT_NE(sys.parallelEngine(), nullptr);
+
+    std::ostringstream os;
+    sys.parallelEngine()->telemetryJson(os);
+    std::string err;
+    const Json j = Json::parse(os.str(), &err);
+    ASSERT_TRUE(j.isObject()) << err;
+
+    // The keys the n=128 CI canary compares across worker counts.
+    const ParallelEngine::Telemetry t = sys.parallelEngine()->telemetry();
+    EXPECT_EQ(j.u64("events", 0), t.events);
+    EXPECT_EQ(j.u64("windows", 0), t.windows);
+    EXPECT_EQ(j.u64("cross_lane_ops", 0), t.crossLaneOps);
+    EXPECT_TRUE(j.at("peak_rss_bytes").isNumber());
+    const Json &lanes = j.at("lane_events");
+    ASSERT_EQ(lanes.size(), t.laneEvents.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+        EXPECT_EQ(lanes.at(i).asU64(), t.laneEvents[i]) << "lane " << i;
 }
 
 TEST(ParallelEngine, EmptyStretchesAreSkippedNotStepped)

@@ -1,9 +1,9 @@
 /** @file
  * Tests for the simulator self-profiler: the zero-perturbation
  * contract (fixed-seed runs are bit-identical with profiling on or
- * off), the event-queue profile, the coupling analyzer's
- * parallelism-readiness numbers, the JSON round-trip through
- * profReport, and the folded-stacks export shape.
+ * off), the event-queue profile, the JSON round-trip through
+ * profReport, and the folded stacks profFolded renders from the
+ * parsed JSON.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +55,18 @@ runMix(unsigned n, double sim_ms, SimProfiler *prof)
     out.events = sys.eventQueue().eventsExecuted();
     out.finalTick = sys.eventQueue().now();
     return out;
+}
+
+/** Export @p prof as JSON and parse it back, as mcube_report does. */
+Json
+roundTrip(const SimProfiler &prof)
+{
+    std::ostringstream json;
+    prof.exportJson(json);
+    std::string err;
+    Json profile = Json::parse(json.str(), &err);
+    EXPECT_FALSE(profile.isNull()) << err;
+    return profile;
 }
 
 } // namespace
@@ -110,60 +122,15 @@ TEST(SimProfiler, CountsEventsAndScopes)
     EXPECT_GT(prof.wallNs(), 0u);
 }
 
-TEST(SimProfiler, CouplingSummaryIsSane)
-{
-    SimProfiler prof;
-    runMix(4, 1.0, &prof);
-    SimProfiler::Summary s = prof.summary();
-
-    // A mix run exercises both bus dimensions and the MLT forwards
-    // between them, so cross-domain enqueues must appear.
-    EXPECT_GT(s.rowOps, 0u);
-    EXPECT_GT(s.colOps, 0u);
-    EXPECT_GT(s.crossOps, 0u);
-
-    // The minimum enqueue-to-delivery latency can never be zero: a
-    // grant always pays at least the header transfer time. This is
-    // the conservative lookahead bound, so it must be positive for
-    // both decompositions.
-    EXPECT_GT(s.row.lookaheadTicks, 0u);
-    EXPECT_GT(s.col.lookaheadTicks, 0u);
-
-    for (const SimProfiler::ShardingView *v : {&s.row, &s.col}) {
-        EXPECT_GE(v->parallelFracNs, 0.0);
-        EXPECT_LE(v->parallelFracNs, 1.0);
-        EXPECT_NEAR(v->parallelFracNs + v->serialFracNs, 1.0, 1e-9);
-        EXPECT_GE(v->imbalance, 1.0);
-        // Amdahl projection: bounded by k, and monotone in k from
-        // k=2 up (denominator shrinks as k grows). k=1 is pinned to
-        // exactly 1.0 and excluded from the monotone sweep: under a
-        // loaded host the measured imbalance can legitimately exceed
-        // 2, making the honest 2-shard projection *less* than 1 — a
-        // projected net loss, not a model bug.
-        EXPECT_DOUBLE_EQ(v->speedupAt(1), 1.0);
-        double prev = 0.0;
-        for (unsigned k : {2u, 4u, 8u, 16u, 32u}) {
-            double sp = v->speedupAt(k);
-            EXPECT_GE(sp, prev * (1.0 - 1e-12));
-            EXPECT_LE(sp, static_cast<double>(k) + 1e-9);
-            prev = sp;
-        }
-    }
-}
-
 TEST(SimProfiler, JsonRoundTripThroughReport)
 {
     SimProfiler prof;
     runMix(4, 0.5, &prof);
 
-    std::ostringstream json;
-    prof.exportJson(json);
-
-    std::string err;
-    Json profile = Json::parse(json.str(), &err);
-    ASSERT_FALSE(profile.isNull()) << err;
-    EXPECT_EQ(profile.u64("profile_version", 0), 1u);
+    const Json profile = roundTrip(prof);
+    EXPECT_EQ(profile.u64("profile_version", 0), 2u);
     EXPECT_EQ(profile.u64("events", 0), prof.eventCount());
+    EXPECT_FALSE(profile.has("coupling"));
 
     std::ostringstream report;
     ASSERT_TRUE(profReport(profile, report));
@@ -171,14 +138,14 @@ TEST(SimProfiler, JsonRoundTripThroughReport)
     EXPECT_NE(text.find("host time by kind"), std::string::npos);
     EXPECT_NE(text.find("event queue:"), std::string::npos);
     EXPECT_NE(text.find("host time by domain"), std::string::npos);
-    EXPECT_NE(text.find("min enqueue->delivery"), std::string::npos);
-    EXPECT_NE(text.find("row-stripe"), std::string::npos);
-    EXPECT_NE(text.find("col-stripe"), std::string::npos);
+    EXPECT_EQ(text.find("coupling"), std::string::npos);
 
     // Not-a-profile JSON is rejected, not misreported.
-    Json other = Json::parse("{\"x\": 1}", &err);
+    Json other = Json::parse("{\"x\": 1}");
     std::ostringstream sink;
     EXPECT_FALSE(profReport(other, sink));
+    EXPECT_FALSE(profFolded(other, sink));
+    EXPECT_TRUE(sink.str().empty());
 }
 
 TEST(SimProfiler, FoldedStacksAreWellFormed)
@@ -186,8 +153,10 @@ TEST(SimProfiler, FoldedStacksAreWellFormed)
     SimProfiler prof;
     runMix(4, 0.5, &prof);
 
+    // The JSON -> folded round trip behind `mcube_report folded`.
+    const Json profile = roundTrip(prof);
     std::ostringstream folded;
-    prof.exportFolded(folded);
+    ASSERT_TRUE(profFolded(profile, folded));
     std::istringstream in(folded.str());
     std::string line;
     unsigned lines = 0;
@@ -209,7 +178,7 @@ TEST(SimProfiler, FoldedStacksAreWellFormed)
         if (stack.find(';') != std::string::npos)
             sawNested = true;
     }
-    EXPECT_GT(lines, 0u);
+    EXPECT_EQ(lines, profile.at("stacks").size());
     EXPECT_TRUE(sawNested);
 }
 
@@ -218,17 +187,12 @@ TEST(SimProfiler, QueueProfileInJson)
     SimProfiler prof;
     runMix(4, 0.5, &prof);
 
-    std::ostringstream json;
-    prof.exportJson(json);
-    std::string err;
-    Json profile = Json::parse(json.str(), &err);
-    ASSERT_FALSE(profile.isNull()) << err;
-
+    const Json profile = roundTrip(prof);
     const Json &eq = profile.at("event_queue");
     EXPECT_GT(eq.at("depth").u64("count", 0), 0u);
     EXPECT_GT(eq.at("schedule_horizon_ticks").u64("count", 0), 0u);
     EXPECT_GT(eq.u64("slab_high_water", 0), 0u);
 
-    // Embedded folded stacks mirror the exportFolded lines.
+    // The embedded folded stacks are what profFolded renders.
     EXPECT_GT(profile.at("stacks").size(), 0u);
 }

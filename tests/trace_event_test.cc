@@ -153,21 +153,6 @@ TEST(TransactionTracer, ChromeJsonIsBalanced)
     EXPECT_EQ(s.find(",\n]"), std::string::npos);
 }
 
-TEST(TransactionTracer, TextExportOneLinePerEvent)
-{
-    TransactionTracer tr(64);
-    tr.record(ev(100, TracePhase::Issue, 7));
-    tr.record(ev(200, TracePhase::MemBounce, 7));
-
-    std::ostringstream os;
-    tr.exportText(os);
-    const std::string s = os.str();
-    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);
-    EXPECT_NE(s.find("Issue"), std::string::npos);
-    EXPECT_NE(s.find("MemBounce"), std::string::npos);
-    EXPECT_NE(s.find("seq=7"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // End-to-end: a real protocol run must leave a reconstructible
 // lifecycle in the buffer.
