@@ -38,7 +38,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -423,6 +422,20 @@ class BenchJson
     void
     flush(const std::string &bench)
     {
+        Json points = Json::object();
+        for (const auto &[label, metrics] : data[bench]) {
+            // Round-trippable doubles (%.17g; non-finite as null): a
+            // dashboard diffing artifacts must see the exact values.
+            Json m = Json::object();
+            for (const auto &[name, value] : metrics)
+                m.append(name, value);
+            points.append(label, std::move(m));
+        }
+        Json j = Json::object();
+        j.set("bench", bench);
+        j.set("git_rev", run::gitRevision());
+        j.set("points", std::move(points));
+
         const std::string final_name = "BENCH_" + bench + ".json";
         const std::string tmp_name = final_name + ".tmp";
         {
@@ -430,58 +443,14 @@ class BenchJson
                              std::ios::out | std::ios::trunc);
             if (!os)
                 return;
-            // Round-trippable doubles: a dashboard diffing artifacts
-            // must see the exact values, not 6-digit approximations.
-            os.precision(std::numeric_limits<double>::max_digits10);
-            os << "{\n  \"bench\": \"" << bench << "\",\n"
-               << "  \"git_rev\": \"" << gitRev() << "\",\n"
-               << "  \"points\": {";
-            const char *psep = "\n";
-            for (const auto &[label, metrics] : data[bench]) {
-                os << psep << "    \"" << label << "\": {";
-                const char *msep = "";
-                for (const auto &[name, value] : metrics) {
-                    os << msep << "\n      \"" << name
-                       << "\": " << value;
-                    msep = ",";
-                }
-                os << "\n    }";
-                psep = ",\n";
-            }
-            os << "\n  }\n}\n";
+            os << j.dump(2) << "\n";
             if (!os.flush())
                 return;
         }
         std::rename(tmp_name.c_str(), final_name.c_str());
     }
 
-    /** Best-effort HEAD revision (cached); "unknown" outside git. */
-    const std::string &
-    gitRev()
-    {
-        if (!revCached) {
-            revCached = true;
-            if (FILE *p = popen("git rev-parse HEAD 2>/dev/null",
-                                "r")) {
-                char buf[64] = {};
-                if (fgets(buf, sizeof(buf), p)) {
-                    rev.assign(buf);
-                    while (!rev.empty()
-                           && (rev.back() == '\n'
-                               || rev.back() == '\r'))
-                        rev.pop_back();
-                    if (rev.empty())
-                        rev = "unknown";
-                }
-                pclose(p);
-            }
-        }
-        return rev;
-    }
-
     std::mutex lock;
-    std::string rev = "unknown";
-    bool revCached = false;
     std::map<std::string, std::map<std::string, Metrics>> data;
 };
 

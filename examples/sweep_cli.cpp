@@ -25,13 +25,13 @@
  *                          "Parallel single-simulation engine"), but
  *                          the engine is a distinct canonical
  *                          schedule from N=0. Owns the worker pool,
- *                          so it forces --jobs=1. Profiling and
- *                          tracing compose with it (lane-sharded,
- *                          merged canonically; output is
- *                          bit-identical for any N); metrics sampling
- *                          and fault injection still force it back to
- *                          0, each with one stderr line naming the
- *                          flag (sim/sim_threads_policy.hh).
+ *                          so it forces --jobs=1. Metrics sampling,
+ *                          profiling and tracing compose with it (a
+ *                          profiled or traced run executes on one
+ *                          thread; output is identical for any N);
+ *                          fault injection forces it back to 0, with
+ *                          one stderr line naming the flag
+ *                          (sim/sim_threads_policy.hh).
  *   --par-stats-out=f.json per-shard engine telemetry (lane/worker
  *                          event attribution, phase timing, realized
  *                          vs projected speedup); needs
@@ -71,11 +71,11 @@
  *                          the '#' header line, so a saved CSV is
  *                          always re-runnable
  *
- * Tracing, metrics snapshots and self-profiling are process-global,
- * single-run tools: requesting them forces --jobs=1 (with a warning).
- * With several --rates, the files cover the *last* simulated point
- * (each point truncates them); use a single rate when tracing or
- * profiling.
+ * Tracing, metrics snapshots and self-profiling write one file per
+ * run, which every point would overwrite: requesting them forces
+ * --jobs=1 (with a warning). With several --rates, the files cover the
+ * *last* simulated point (each point truncates them); use a single
+ * rate when tracing or profiling.
  *
  * Robustness (docs/ROBUSTNESS.md):
  *   --journal=FILE         append each completed simulation point to
@@ -254,7 +254,8 @@ parseArgs(int argc, char **argv, Options &opt)
         std::cerr << "--mode must be mva, sim or both\n";
         return false;
     }
-    if (opt.n < 2 || opt.rates.empty() || opt.block == 0) {
+    if (opt.n < 2 || opt.rates.empty() || opt.block == 0
+        || opt.metricsPeriod == 0) {
         std::cerr << "invalid parameters\n";
         return false;
     }
@@ -323,8 +324,8 @@ mvaRow(const Options &opt, double rate)
  * stderr heartbeat for long sweeps (--progress). Every write is one
  * buffered fputs, so concurrent workers cannot shear a line; the
  * carriage return keeps a TTY to a single status line. Mid-point
- * beats ride the ProgressMonitor's periodic check, so a livelocked
- * point shows a frozen event count rather than silence.
+ * beats ride the ProgressMonitor's periodic check under either
+ * engine; a livelocked point completes nothing, so its beats stop.
  */
 struct SweepProgress
 {
@@ -392,6 +393,9 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
 
     // Crash diagnosis + supervised-worker liveness (observation only;
     // the row stays byte-identical with or without either attached).
+    // The monitor beats only when a transaction completed since its
+    // last check (or none is outstanding), so a livelocked point goes
+    // silent and the supervisor triages it as Stalled.
     run::ScopedCrashContext crashCtx(
         [&sys] { return sys.dumpPendingState(); });
     std::unique_ptr<ProgressMonitor> monitor;
@@ -408,19 +412,6 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
         };
         monitor = std::make_unique<ProgressMonitor>(sys, mp);
         monitor->start();
-    }
-    // Under the parallel engine the supervisor heartbeat also rides
-    // the coordinator's inter-window hook: if the worker pool wedges,
-    // windows stop, the beat stops, and the supervisor triages the
-    // point as Stalled instead of hanging the sweep.
-    if (ParallelEngine *eng = sys.parallelEngine();
-        eng && (beating || prog)) {
-        eng->setProgressHook([hb, beating, prog, &sys] {
-            if (beating)
-                hb->beat();
-            if (prog)
-                prog->beat(sys.eventQueue().eventsExecuted());
-        });
     }
 
     const bool tracing = !opt.traceOut.empty();
@@ -463,14 +454,12 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
     wl.start();
     sys.run(static_cast<Tick>(opt.simMs * 1e6));
     wl.stop();
-    // Sample bus utilization at workload end: it is a time-average,
-    // and the drain tail's length depends on attached observers (the
-    // progress monitor's pending check extends it), which must never
-    // show in the row.
+    // Sample bus utilization at workload end: it is a time-average
+    // over the measured interval, not over the drain tail.
     double rowUtil = sys.meanBusUtilization(0);
     double colUtil = sys.meanBusUtilization(1);
     if (sampler)
-        sampler->stop();  // rearm events would keep drain() spinning
+        sampler->stop();  // final sample covers the run's tail
     sys.drain();
 
     if (tracing) {
@@ -544,24 +533,20 @@ main(int argc, char **argv)
                         || !opt.metricsOut.empty()
                         || !opt.profileOut.empty();
     if (jobs > 1 && observing) {
-        std::cerr << "sweep_cli: tracing/metrics/profiling are "
-                     "process-global single-run tools; forcing "
-                     "--jobs=1\n";
+        std::cerr << "sweep_cli: every point would write the same "
+                     "trace/metrics/profile file; forcing --jobs=1\n";
         jobs = 1;
     }
-    // Profiling and tracing are lane-aware (per-lane shards, merged
-    // canonically at window boundaries) and compose with the parallel
-    // single-simulation engine; metrics sampling and fault injection
-    // still need the sequential engine. The policy — and the exact
-    // warning text naming each forcing flag — lives in the library so
-    // tests can assert it (sim/sim_threads_policy.hh). When the
-    // engine *is* active it owns the worker pool — point-level --jobs
-    // parallelism would oversubscribe the host, so jobs collapses
-    // to 1.
+    // Tracing, metrics sampling and profiling compose with the
+    // parallel single-simulation engine; fault injection still needs
+    // the sequential engine. The policy — and the exact warning text
+    // naming each forcing flag — lives in the library so tests can
+    // assert it (sim/sim_threads_policy.hh). When the engine *is*
+    // active it owns the worker pool — point-level --jobs parallelism
+    // would oversubscribe the host, so jobs collapses to 1.
     {
         SimThreadsRequest req;
         req.simThreads = opt.simThreads;
-        req.metricsSampling = !opt.metricsOut.empty();
         req.faultDrop = opt.faultDrop > 0.0;
         req.faultPlan = opt.haveFaultPlan;
         SimThreadsDecision dec = resolveSimThreads(req);

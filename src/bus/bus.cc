@@ -85,7 +85,7 @@ Bus::request(unsigned slot, BusOp op)
             MCUBE_LOG(LogCat::Bus, eq.now(),
                       _name << " FAULT delay " << act.delayTicks
                             << " slot=" << slot << " " << op);
-            eq.scheduleInLane(lane_, act.delayTicks, [this, slot, op] {
+            eq.scheduleToLane(lane_, act.delayTicks, [this, slot, op] {
                 enqueue(slot, op);
                 if (!busy)
                     tryArbitrate();
@@ -225,17 +225,17 @@ Bus::tryArbitrate()
         // release land on the same tick, in that order. Batch them
         // into one event — half the queue traffic of the split form,
         // with an identical firing sequence.
-        eq.scheduleInLane(lane_, occ, [this, op = std::move(op)] {
+        eq.scheduleToLane(lane_, occ, [this, op = std::move(op)] {
             deliver(op);
             busy = false;
             tryArbitrate();
         });
     } else {
-        eq.scheduleInLane(lane_, deliver_at,
+        eq.scheduleToLane(lane_, deliver_at,
                           [this, op = std::move(op)] {
                               deliver(op);
                           });
-        eq.scheduleInLane(lane_, occ, [this] {
+        eq.scheduleToLane(lane_, occ, [this] {
             busy = false;
             tryArbitrate();
         });

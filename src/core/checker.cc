@@ -41,12 +41,13 @@ CoherenceChecker::CoherenceChecker(MulticubeSystem &sys,
             };
     }
 
-    if (ParallelEngine *eng = sys.parallelEngine()) {
+    if (eq.parallelActive()) {
         // Under the window-phased engine the per-op checks read live
         // global state, which is only consistent with the canonical
-        // golden history at window barriers (see Tap::snoop).
+        // golden history at window ends (see Tap::snoop). A one-tick
+        // period makes the observer run at the end of every window.
         barrierChecks = true;
-        eng->addBarrierHook([this] { flushWindowChecks(); });
+        windowChecks = eq.observe(1, [this] { flushWindowChecks(); });
     }
 }
 

@@ -202,7 +202,7 @@ class CoherenceChecker
                 // position (e.g. a same-tick home-lane write hit
                 // whose commit deferral sorts after this check).
                 // afterOp therefore only queues the address and the
-                // engine's barrier hook checks it once the window's
+                // window-end observer checks it once the window's
                 // golden history is complete (see flushWindowChecks).
                 CoherenceChecker *c = checker;
                 bool row = isRow;
@@ -227,8 +227,8 @@ class CoherenceChecker
     void afterOp(const BusOp &op, bool is_row);
     void checkLine(Addr addr);
     /**
-     * Parallel-engine barrier hook: run the per-op invariant checks
-     * (and any due lenient sweep) queued by afterOp during the
+     * Parallel-engine window-end observer: run the per-op invariant
+     * checks (and any due lenient sweep) queued by afterOp during the
      * window. The end-of-window state of a line equals its state
      * after the last op that touched it — a state the sequential
      * checker also verifies — and the golden history is complete, so
@@ -272,7 +272,7 @@ class CoherenceChecker
      * @{
      * Parallel-engine mode (set once at construction when the system
      * runs the window-phased engine): afterOp queues addresses here
-     * and flushWindowChecks() verifies them at the window barrier.
+     * and flushWindowChecks() verifies them at the window end.
      */
     bool barrierChecks = false;
     std::vector<Addr> windowAddrs;
@@ -283,6 +283,10 @@ class CoherenceChecker
     std::uint64_t _violations = 0;
     std::vector<std::string> _report;
     std::vector<ViolationRecord> _records;
+
+    /** Registration of flushWindowChecks() under the engine; dropped
+     *  with the checker. */
+    EventQueue::ObserverHandle windowChecks;
 };
 
 } // namespace mcube

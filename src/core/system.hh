@@ -40,13 +40,12 @@ struct SystemParams
      * sequential engine. Any value >= 1 selects the window-phased
      * parallel engine, whose results are bit-identical for every
      * simThreads value (1 included) but follow a different canonical
-     * event order than the sequential engine, and identical whether
-     * profiling/tracing are active or not (the engine gives each lane
-     * shard observers and folds them canonically at window
-     * boundaries). Still incompatible with observers that assume a
-     * single-threaded queue mid-run — metrics sampling and fault
-     * injection — for which sweep_cli forces 0 (see
-     * resolveSimThreads() in sim/sim_threads_policy.hh).
+     * event order than the sequential engine. Observers never change
+     * them: periodic observers (EventQueue::observe) run at window
+     * ends, and a run with a profiler or tracer active executes on
+     * one thread. Fault injection is still incompatible; sweep_cli
+     * forces 0 for it (see resolveSimThreads() in
+     * sim/sim_threads_policy.hh).
      */
     unsigned simThreads = 0;
 };

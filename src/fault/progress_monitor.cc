@@ -18,14 +18,13 @@ ProgressMonitor::ProgressMonitor(MulticubeSystem &sys,
 void
 ProgressMonitor::start()
 {
-    if (running)
+    if (observer)
         return;
-    running = true;
     lastCompletions = totalCompletions();
     lastBusOps = sys.totalBusOps();
     noProgress = 0;
-    sys.eventQueue().scheduleIn(params.checkIntervalTicks,
-                                [this] { check(); });
+    observer = sys.eventQueue().observe(params.checkIntervalTicks,
+                                        [this] { check(); });
 }
 
 std::uint64_t
@@ -49,8 +48,6 @@ ProgressMonitor::anyBusy() const
 void
 ProgressMonitor::check()
 {
-    if (!running)
-        return;
     ++_checks;
 
     std::uint64_t completions = totalCompletions();
@@ -80,15 +77,6 @@ ProgressMonitor::check()
 
     lastCompletions = completions;
     lastBusOps = bus_ops;
-
-    // Self-cancel when the workload is over and only this event keeps
-    // the queue alive, so drain() terminates.
-    if (!busy && sys.eventQueue().size() == 0) {
-        running = false;
-        return;
-    }
-    sys.eventQueue().scheduleIn(params.checkIntervalTicks,
-                                [this] { check(); });
 }
 
 } // namespace mcube

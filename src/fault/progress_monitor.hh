@@ -18,9 +18,11 @@
  * (MulticubeSystem::dumpPendingState) into a report and invokes an
  * optional callback, so stuck runs fail with a diagnosis.
  *
- * The periodic event self-cancels once it is the only thing left in
- * the event queue and no transaction is outstanding, so drain() still
- * terminates with a monitor attached.
+ * The monitor is a periodic observer of the event queue
+ * (EventQueue::observe), not a timer event: it checks for the whole
+ * run under either engine, keeps checking while runUntil() crosses an
+ * empty queue (so a deadlock that leaves no events is still caught),
+ * and never keeps drain() from terminating.
  */
 
 #ifndef MCUBE_FAULT_PROGRESS_MONITOR_HH
@@ -30,6 +32,7 @@
 #include <functional>
 #include <string>
 
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace mcube
@@ -74,8 +77,8 @@ class ProgressMonitor
     /** Begin (or resume) periodic checking. */
     void start();
 
-    /** Stop checking after the current interval. */
-    void stop() { running = false; }
+    /** Stop checking. */
+    void stop() { observer.reset(); }
 
     /** True once a stall has been declared. */
     bool stalled() const { return _stalled; }
@@ -99,7 +102,7 @@ class ProgressMonitor
     ProgressMonitorParams params;
     StallCb onStall;
 
-    bool running = false;
+    EventQueue::ObserverHandle observer;
     bool _stalled = false;
     unsigned noProgress = 0;
     std::uint64_t lastCompletions = 0;

@@ -660,19 +660,13 @@ constexpr const char *kArtifactFormat = "mcube-fuzz-repro-v1";
 
 } // namespace
 
-std::string
-gitRevision()
-{
-    return run::gitRevision();
-}
-
 Json
 artifactJson(const RunConfig &cfg, const RunResult &res,
              const std::string &note)
 {
     Json j = Json::object();
     j.set("format", kArtifactFormat);
-    j.set("git_rev", gitRevision());
+    j.set("git_rev", run::gitRevision());
     if (!note.empty())
         j.set("note", note);
     j.set("config", toJson(cfg));
@@ -741,7 +735,7 @@ crashArtifactJson(const RunConfig &cfg,
 {
     Json j = Json::object();
     j.set("format", kArtifactFormat);
-    j.set("git_rev", gitRevision());
+    j.set("git_rev", run::gitRevision());
     if (!note.empty())
         j.set("note", note);
     j.set("config", toJson(cfg));

@@ -269,9 +269,6 @@ struct CampaignSummary
 /** Run a campaign; failing runs write (and shrink) repro artifacts. */
 CampaignSummary runCampaign(const CampaignOptions &opt);
 
-/** Best-effort HEAD revision; "unknown" outside a git checkout. */
-std::string gitRevision();
-
 } // namespace mcube::fuzz
 
 #endif // MCUBE_FUZZ_CAMPAIGN_HH

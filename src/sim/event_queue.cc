@@ -75,11 +75,57 @@ EventQueue::deferToLane(unsigned lane, EventFn fn)
     par->deferCall(lane, std::move(fn));
 }
 
+EventQueue::ObserverHandle
+EventQueue::observe(Tick period, std::function<void()> fn)
+{
+    assert(period > 0 && "observer period must be positive");
+    auto obs = std::make_shared<Observer>(
+        Observer{period, now() + period, std::move(fn)});
+    observers.push_back(obs);
+    nextDeadline = std::min(nextDeadline, obs->next);
+    return obs;
+}
+
+void
+EventQueue::callObservers(Tick reach)
+{
+    if (nextDeadline > reach)
+        return;
+    Tick next = maxTick;
+    // Index loop: a callback may register another observer.
+    for (std::size_t i = 0; i < observers.size();) {
+        const std::shared_ptr<Observer> o = observers[i].lock();
+        if (!o) {
+            observers.erase(observers.begin()
+                            + static_cast<std::ptrdiff_t>(i));
+            continue;
+        }
+        if (o->next <= reach) {
+            o->fn();
+            o->next += ((reach - o->next) / o->period + 1) * o->period;
+        }
+        next = std::min(next, o->next);
+        ++i;
+    }
+    nextDeadline = next;
+}
+
+void
+EventQueue::observeUntil(Tick reach, Tick step, Tick &clock)
+{
+    while (nextDeadline <= reach) {
+        clock = nextDeadline;
+        callObservers(std::min(reach, clock + step - 1));
+    }
+}
+
 std::uint64_t
 EventQueue::runEvents(Tick end, std::uint64_t limit)
 {
     std::uint64_t count = 0;
     while (!events.empty() && events.nextWhen() <= end && count < limit) {
+        if (events.nextWhen() > nextDeadline)
+            observeUntil(events.nextWhen() - 1, 1, _now);
         events.runNext(SimProfiler::active(), [this](Tick t) { _now = t; });
         ++count;
         ++statExecuted;
@@ -114,8 +160,10 @@ EventQueue::runUntil(Tick end, std::uint64_t limit)
         return n;
     }
     const std::uint64_t count = runEvents(end, limit);
-    if (_now < end && (events.empty() || events.nextWhen() > end))
-        _now = end;
+    if (events.empty() || events.nextWhen() > end) {
+        observeUntil(end, 1, _now);
+        _now = std::max(_now, end);
+    }
     return count;
 }
 

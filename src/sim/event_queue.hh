@@ -20,8 +20,18 @@
  * simThreads > 0 the queue's schedules are sharded into per-bus-domain
  * lanes and executed window-by-window on a worker pool. Callers keep
  * using the same schedule()/run()/runUntil() surface; bus code uses
- * scheduleInLane() to pin its internal events to its lane, and
+ * scheduleToLane() to pin its internal events to its lane, and
  * everything else lands on the serial lane.
+ *
+ * Code that watches a run without writing simulated state (metrics
+ * sampler, progress monitor, the checker's per-window checks)
+ * registers a periodic *observer* with observe() instead of
+ * scheduling timer events, so observing a run never changes its
+ * schedule. Observers are called from the run loop, never as events:
+ * sequentially between events, as simulated time passes each
+ * deadline; under the engine on the coordinator, at the end of the
+ * first window that reaches the deadline. In both engines an empty
+ * stretch that runUntil() crosses still passes its deadlines.
  */
 
 #ifndef MCUBE_SIM_EVENT_QUEUE_HH
@@ -30,7 +40,10 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "sim/event_heap.hh"
 #include "sim/profiler.hh"
@@ -72,14 +85,11 @@ class EventQueue
     /**
      * Attach (or detach, with nullptr) a parallel engine. While
      * attached, every schedule is routed to an engine lane — plain
-     * schedule()/scheduleIn() to the serial lane, scheduleInLane() to
+     * schedule()/scheduleIn() to the serial lane, scheduleToLane() to
      * the named lane — and run()/runUntil() drive the engine's
      * window loop. Must only be flipped while the queue is idle.
      */
     void setParallel(ParallelEngine *p) { par = p; }
-
-    /** The attached engine, if any. */
-    ParallelEngine *parallel() const { return par; }
 
     /** True when schedules route through a parallel engine. */
     bool parallelActive() const { return par != nullptr; }
@@ -125,32 +135,16 @@ class EventQueue
 
     /**
      * Schedule a callable @p delay ticks in the future on engine lane
-     * @p lane (used by buses for their internal arbitrate/deliver/
-     * release events). Sequentially this is exactly scheduleIn().
-     */
-    template <typename F>
-    void
-    scheduleInLane(unsigned lane, Tick delay, F &&f)
-    {
-        if (!par) {
-            schedule(_now + delay, std::forward<F>(f));
-            return;
-        }
-        parScheduleLane(lane, parNow() + delay,
-                        EventFn(std::forward<F>(f)));
-    }
-
-    /**
-     * Schedule a callable @p delay ticks in the future on engine lane
      * @p lane, from *any* execution context. Sequentially this is
-     * exactly scheduleIn(); under the parallel engine it is the
-     * cross-lane counterpart of scheduleInLane(): when the calling
-     * context is a different lane, the target tick is pushed out to
-     * at least one window ahead so it can never land in the target
-     * lane's past (lanes within a window advance independently).
-     * Same-lane and coordinator-context schedules keep their exact
-     * tick. Used to pin a node's completion callbacks and workload
-     * self-scheduling to the node's home (row) lane.
+     * exactly scheduleIn(). Under the parallel engine, same-lane and
+     * coordinator-context schedules keep their exact tick; when the
+     * calling context is a different lane, the target tick is pushed
+     * out to at least one window ahead so it can never land in the
+     * target lane's past (lanes within a window advance
+     * independently). Buses pin their arbitrate/deliver/release
+     * events to their lane with it, and nodes their completion
+     * callbacks and workload self-scheduling to their home (row)
+     * lane.
      */
     template <typename F>
     void
@@ -194,6 +188,32 @@ class EventQueue
     /** Register the queue's counters under @p parent. */
     void regStats(StatGroup &parent) { parent.addChild(statsGrp); }
 
+    /** Keeps a periodic observer registered; destroying or reset()ing
+     *  the handle unregisters it. May outlive the queue. */
+    using ObserverHandle = std::shared_ptr<void>;
+
+    /**
+     * Register @p fn to be called every @p period ticks (> 0), first
+     * at now() + period, for as long as the returned handle lives.
+     * @p fn must not write simulated state or schedule events; it
+     * sees the state after every event up to its deadline:
+     *
+     *  - sequentially it runs between events, with now() equal to the
+     *    deadline, once per deadline;
+     *  - under the parallel engine it runs on the coordinator at the
+     *    end of the first window that reaches the deadline, with
+     *    now() at the window's start, at most once per window (a
+     *    period shorter than the window means "every window").
+     *
+     * Deadlines inside a stretch with no events still fire as run()
+     * or runUntil() crosses it (under the engine, at most once per
+     * window width of the stretch), and runUntil(end) returns only
+     * after every deadline <= end has fired. Observers with the same
+     * due point run in registration order.
+     */
+    [[nodiscard]] ObserverHandle observe(Tick period,
+                                         std::function<void()> fn);
+
     /**
      * Run until the queue drains or @p limit events have executed.
      * @return number of events executed by this call.
@@ -211,6 +231,24 @@ class EventQueue
     std::uint64_t runUntil(Tick end, std::uint64_t limit = UINT64_MAX);
 
   private:
+    friend class ParallelEngine;
+
+    struct Observer
+    {
+        Tick period;
+        Tick next;  //!< next deadline
+        std::function<void()> fn;
+    };
+
+    /** Call every observer whose deadline is <= @p reach once, then
+     *  move its deadline past @p reach. */
+    void callObservers(Tick reach);
+    /** Cross an event-free stretch up to @p reach: starting at each
+     *  pending deadline D in turn, set @p clock to D and call the
+     *  observers due within [D, D + step) (step 1 sequentially, the
+     *  window width under the engine). */
+    void observeUntil(Tick reach, Tick step, Tick &clock);
+
     /** Out-of-line parallel-engine hooks (keep the header decoupled
      *  from parallel_engine.hh). */
     void parScheduleLane(unsigned lane, Tick when, EventFn fn);
@@ -228,6 +266,13 @@ class EventQueue
     Counter statExecuted;
     Counter statPastTick;
     StatGroup statsGrp{"eventq"};
+
+    // Last, so the members the event loop touches keep their offsets
+    // and cache lines.
+    std::vector<std::weak_ptr<Observer>> observers;
+    /** Earliest observer deadline (may belong to a dropped observer;
+     *  callObservers prunes those). */
+    Tick nextDeadline = maxTick;
 };
 
 } // namespace mcube

@@ -130,6 +130,14 @@ Json::set(const std::string &key, Json v)
     return *this;
 }
 
+Json &
+Json::append(std::string key, Json v)
+{
+    _type = Type::Object;
+    _obj.emplace_back(std::move(key), std::move(v));
+    return *this;
+}
+
 std::uint64_t
 Json::u64(const std::string &key, std::uint64_t dflt) const
 {

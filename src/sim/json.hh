@@ -86,6 +86,10 @@ class Json
     bool has(const std::string &key) const;
     const Json &at(const std::string &key) const;
     Json &set(const std::string &key, Json v);
+    /** Add @p key without looking for an existing member, for keys
+     *  unique by construction (set() would make a large object
+     *  quadratic to build). */
+    Json &append(std::string key, Json v);
     const std::vector<std::pair<std::string, Json>> &members() const
     {
         return _obj;

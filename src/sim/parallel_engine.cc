@@ -152,9 +152,8 @@ ParallelEngine::scheduleLane(unsigned lane, Tick when, EventFn fn)
     const Tick ref = ctxNow();
     if (when < ref)
         fatalPastTick(lane, when, ref);
-    // Schedule-horizon feed, mirroring EventQueue::schedule: the
-    // calling thread's active profiler is the running lane's shard
-    // inside a phase, the main profiler otherwise.
+    // Schedule-horizon feed, mirroring EventQueue::schedule (a
+    // profiled run executes every lane on the profiling thread).
     if (SimProfiler *p = SimProfiler::active())
         p->onSchedule(when - ref);
     if (tlCtx.eng == this && tlCtx.lane != lane) {
@@ -188,19 +187,9 @@ void
 ParallelEngine::runLane(unsigned lane_idx, Tick window_end)
 {
     Lane &L = *lanes[lane_idx];
-    // Install this lane's shard observers on the executing thread (a
-    // worker or the coordinator) so MCUBE_TRACE / MCUBE_PROF_SCOPE
-    // sites inside events record lane-locally; restored on exit.
-    SimProfiler *prof =
-        profShards_.empty() ? nullptr : profShards_[lane_idx].get();
-    SimProfiler *prevProf = nullptr;
-    if (prof)
-        prevProf = SimProfiler::exchangeActive(prof);
-    TransactionTracer *prevTracer = nullptr;
-    const bool tracing = !traceShards_.empty();
-    if (tracing)
-        prevTracer = TransactionTracer::exchangeActive(
-            traceShards_[lane_idx].get());
+    // Non-null only on the coordinator of a profiled run, which runs
+    // every lane inline (see runPhase).
+    SimProfiler *prof = SimProfiler::active();
     ExecCtx saved = tlCtx;
     while (!L.events.empty() && L.events.nextWhen() < window_end) {
         L.events.runNext(prof, [this, lane_idx](Tick t) {
@@ -209,10 +198,6 @@ ParallelEngine::runLane(unsigned lane_idx, Tick window_end)
         ++L.executed;
     }
     tlCtx = saved;
-    if (prof)
-        SimProfiler::exchangeActive(prevProf);
-    if (tracing)
-        TransactionTracer::exchangeActive(prevTracer);
 }
 
 void
@@ -269,7 +254,11 @@ ParallelEngine::runPhase(unsigned first, unsigned count, Tick window_end,
                          std::uint64_t &phase_ns)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads.empty() || count <= 1) {
+    // Profiler and tracer activation is per thread, so while either is
+    // active on the coordinator every lane runs here and records
+    // straight into it.
+    if (threads.empty() || count <= 1 || SimProfiler::active()
+        || TransactionTracer::active()) {
         for (unsigned i = 0; i < count; ++i) {
             Lane &L = *lanes[first + i];
             const std::uint64_t before = L.executed;
@@ -331,32 +320,11 @@ ParallelEngine::mergeOutboxes()
         for (std::size_t li = 0; li < lanes.size(); ++li)
             consumed[li] = lanes[li]->outbox.size();
         ExecCtx saved = tlCtx;
-        const bool observed =
-            !profShards_.empty() || !traceShards_.empty();
         for (const MergeRef &m : mergeScratch) {
             Outbox &e = lanes[m.srcLane]->outbox[m.srcIdx];
             tlCtx = ExecCtx{this, e.target, e.when};
             if (e.isCall) {
-                if (observed) {
-                    // Record under the *target* lane's shards so the
-                    // canonical window-end merge orders these events
-                    // exactly like lane-executed ones.
-                    SimProfiler *pp =
-                        profShards_.empty()
-                            ? SimProfiler::exchangeActive(nullptr)
-                            : SimProfiler::exchangeActive(
-                                  profShards_[e.target].get());
-                    TransactionTracer *pt =
-                        traceShards_.empty()
-                            ? TransactionTracer::exchangeActive(nullptr)
-                            : TransactionTracer::exchangeActive(
-                                  traceShards_[e.target].get());
-                    e.fn();
-                    SimProfiler::exchangeActive(pp);
-                    TransactionTracer::exchangeActive(pt);
-                } else {
-                    e.fn();
-                }
+                e.fn();
             } else {
                 lanes[e.target]->events.push(e.when, std::move(e.fn));
             }
@@ -370,66 +338,6 @@ ParallelEngine::mergeOutboxes()
                          + static_cast<std::ptrdiff_t>(consumed[li]));
         }
     }
-}
-
-void
-ParallelEngine::syncObservers()
-{
-    mainProf_ = SimProfiler::active();
-    if (mainProf_ && profShards_.empty()) {
-        profShards_.reserve(numLanes());
-        for (unsigned i = 0; i < numLanes(); ++i)
-            profShards_.push_back(std::make_unique<SimProfiler>());
-    } else if (!mainProf_ && !profShards_.empty()) {
-        profShards_.clear();
-    }
-
-    mainTracer_ = TransactionTracer::active();
-    if (mainTracer_ && traceShards_.empty()) {
-        traceShards_.reserve(numLanes());
-        for (unsigned i = 0; i < numLanes(); ++i)
-            traceShards_.push_back(std::make_unique<TransactionTracer>(
-                mainTracer_->capacity()));
-    } else if (!mainTracer_ && !traceShards_.empty()) {
-        traceShards_.clear();
-    }
-}
-
-void
-ParallelEngine::mergeObservers()
-{
-    if (mainProf_)
-        for (auto &shard : profShards_) {
-            mainProf_->absorb(*shard);
-            shard->reset();
-        }
-
-    if (!mainTracer_)
-        return;
-    traceScratch_.clear();
-    for (std::uint32_t li = 0; li < traceShards_.size(); ++li) {
-        const TransactionTracer &tr = *traceShards_[li];
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(tr.size()); ++i)
-            traceScratch_.push_back(TraceRef{tr.at(i).tick, li, i});
-    }
-    if (traceScratch_.empty())
-        return;
-    // Canonical order: (tick, lane, intra-lane record order) — a
-    // total order with no dependence on worker placement, so the main
-    // ring's contents are bit-identical for any --sim-threads.
-    std::sort(traceScratch_.begin(), traceScratch_.end(),
-              [](const TraceRef &a, const TraceRef &b) {
-                  if (a.tick != b.tick)
-                      return a.tick < b.tick;
-                  if (a.lane != b.lane)
-                      return a.lane < b.lane;
-                  return a.idx < b.idx;
-              });
-    for (const TraceRef &r : traceScratch_)
-        mainTracer_->record(traceShards_[r.lane]->at(r.idx));
-    for (auto &shard : traceShards_)
-        shard->clear();
 }
 
 Tick
@@ -471,35 +379,40 @@ ParallelEngine::runWindow(Tick window_end)
     runLane(serialLane, window_end);
     serialEvents_ += lanes[serialLane]->executed - mark;
     mergeOutboxes();
-    // Every deferral of the window has been applied: the state is the
-    // quiescent post-window state. Global validators run now.
-    for (const auto &hook : barrierHooks)
-        hook();
-    mergeObservers();
-    serialNs_ += nsSince(tm1);
 
     ++windows_;
     std::uint64_t tot = 0;
     for (const auto &l : lanes)
         tot += l->executed;
     executedTotal_.store(tot, std::memory_order_relaxed);
-    if (progressHook && windows_ % progressEvery == 0)
-        progressHook();
+    // Every deferral of the window has been applied: the state is the
+    // quiescent post-window state, one the sequential engine also
+    // passes through. Observers (global validators included) run now,
+    // with now() still at the window's start.
+    eq.callObservers(window_end - 1);
+    serialNs_ += nsSince(tm1);
+}
+
+void
+ParallelEngine::advanceTo(Tick t)
+{
+    if (t <= now_)
+        return;
+    eq.observeUntil(t - 1, window_, now_);
+    now_ = t;
 }
 
 std::uint64_t
 ParallelEngine::runUntil(Tick end)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    syncObservers();
     const std::uint64_t startTotal =
         executedTotal_.load(std::memory_order_relaxed);
     for (;;) {
         const Tick e = earliestEvent();
         if (e == kNoTick || e > end)
             break;
-        if (e > now_)
-            now_ = e; // skip an empty stretch in one jump
+        advanceTo(e); // skip an empty stretch in one jump
         if (end > now_ && end - now_ >= window_) {
             const Tick we = now_ + window_;
             runWindow(we);
@@ -511,6 +424,8 @@ ParallelEngine::runUntil(Tick end)
                 now_ = end;
         }
     }
+    // Deadlines at or before `end` that no window reached still fire.
+    eq.observeUntil(end, window_, now_);
     if (now_ < end)
         now_ = end;
     wallNs_ += nsSince(t0);
@@ -524,11 +439,9 @@ ParallelEngine::runOneWindow()
     if (e == kNoTick)
         return 0;
     const auto t0 = std::chrono::steady_clock::now();
-    syncObservers();
     const std::uint64_t startTotal =
         executedTotal_.load(std::memory_order_relaxed);
-    if (e > now_)
-        now_ = e;
+    advanceTo(e);
     const Tick we = now_ + window_;
     runWindow(we);
     now_ = we;

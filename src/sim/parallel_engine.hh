@@ -48,6 +48,15 @@
  * across thread counts but are not expected to equal the classic
  * engine's. The classic engine stays the default and is untouched.
  *
+ * Observers take no part in the schedule. Periodic observers
+ * (EventQueue::observe) run on the coordinator after the window's
+ * last merge (step 6), with now() still at the window's start, and
+ * never move a window boundary. While a SimProfiler or
+ * TransactionTracer is active on the coordinator, every phase runs
+ * inline on the coordinator, so lane events record straight into the
+ * active observer; an observed run therefore gives the same output at
+ * any worker count.
+ *
  * Scheduling an event in the past is a hard error here (it would be a
  * cross-shard causality violation); see EventQueue::schedule.
  */
@@ -58,7 +67,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -71,28 +79,12 @@
 namespace mcube
 {
 
-class SimProfiler;
-class TransactionTracer;
-
 /**
  * The window-phased parallel engine behind EventQueue's parallel
  * mode. Constructed by MulticubeSystem when SystemParams::simThreads
  * is non-zero; model code never talks to it directly — everything
- * goes through EventQueue::schedule / scheduleInLane / deferToLane /
- * scheduleToLane.
- *
- * Lane-aware observability: when a SimProfiler or TransactionTracer
- * is active on the coordinator thread, the engine gives every lane a
- * *shard* observer. Lane execution (and merge-applied cross-lane
- * calls) swap the running lane's shard into the thread-local active
- * slot, so model-code hook sites need no changes; at every window
- * boundary the coordinator folds the shards back into the main
- * observer — profiler shards via SimProfiler::absorb in lane order,
- * tracer shards sorted into the main ring in canonical
- * (tick, lane, intra-lane order). The trace export is therefore
- * bit-identical for any worker count, and simulated results are
- * bit-identical with observers on or off (neither ever touches
- * simulated state).
+ * goes through EventQueue::schedule / scheduleToLane / deferToLane /
+ * observe.
  */
 class ParallelEngine
 {
@@ -169,37 +161,6 @@ class ParallelEngine
         return executedTotal_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Invoke @p fn every @p every_windows windows from the
-     * coordinator, between phases (per-worker progress is readable
-     * then). Supervised runs wire their heartbeat here so a stalled
-     * worker pool goes silent instead of wedging.
-     */
-    void
-    setProgressHook(std::function<void()> fn,
-                    std::uint64_t every_windows = 256)
-    {
-        progressHook = std::move(fn);
-        progressEvery = every_windows ? every_windows : 1;
-    }
-
-    /**
-     * Invoke @p fn on the coordinator at the end of every window,
-     * after the serial lane has drained and every cross-lane deferral
-     * of the window has been applied. At that point the simulation
-     * state is quiescent and globally consistent — it equals the
-     * state after the last event of the window, a state the
-     * sequential engine also passes through. Global-state validators
-     * (the CoherenceChecker's per-op invariant checks) run here:
-     * mid-window they would read live lane state that is ahead of the
-     * canonical position of their deferred callback. Hooks run in
-     * registration order and count toward the serial-phase wall time.
-     */
-    void addBarrierHook(std::function<void()> fn)
-    {
-        barrierHooks.push_back(std::move(fn));
-    }
-
     /** Realized execution telemetry (per-shard attribution). */
     struct Telemetry
     {
@@ -266,14 +227,11 @@ class ParallelEngine
                   unsigned first, unsigned count, Tick window_end);
     /** Apply every lane's outbox in canonical order. */
     void mergeOutboxes();
-    /** Detect coordinator-active observers and (de)provision lane
-     *  shards accordingly. Called while the pool is idle. */
-    void syncObservers();
-    /** Fold every lane's shard observers into the main ones (profiler
-     *  absorb in lane order; tracer events sorted canonically). */
-    void mergeObservers();
     /** Earliest pending tick across all lanes (Tick max if none). */
     Tick earliestEvent() const;
+    /** Jump now_ across the event-free stretch up to @p t, calling
+     *  the observers whose deadlines it passes. */
+    void advanceTo(Tick t);
     /** One window starting at now_, events with tick < window_end. */
     void runWindow(Tick window_end);
     void workerMain(unsigned worker_id);
@@ -311,10 +269,6 @@ class ParallelEngine
 
     std::atomic<std::uint64_t> executedTotal_{0};
 
-    std::function<void()> progressHook;
-    std::uint64_t progressEvery = 256;
-    std::vector<std::function<void()>> barrierHooks;
-
     // Telemetry (coordinator-owned except workerEvents_, which each
     // worker writes for itself inside phases).
     std::uint64_t windows_ = 0;
@@ -338,22 +292,6 @@ class ParallelEngine
         std::uint32_t srcIdx;
     };
     std::vector<MergeRef> mergeScratch;
-
-    // Lane-aware observability (see class comment). Shards exist only
-    // while the corresponding main observer is active; both vectors
-    // are indexed by lane.
-    SimProfiler *mainProf_ = nullptr;
-    TransactionTracer *mainTracer_ = nullptr;
-    std::vector<std::unique_ptr<SimProfiler>> profShards_;
-    std::vector<std::unique_ptr<TransactionTracer>> traceShards_;
-    /** Scratch for mergeObservers' canonical trace sort. */
-    struct TraceRef
-    {
-        Tick tick;
-        std::uint32_t lane;
-        std::uint32_t idx;
-    };
-    std::vector<TraceRef> traceScratch_;
 };
 
 } // namespace mcube

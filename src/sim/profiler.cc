@@ -130,75 +130,6 @@ SimProfiler::onExecute(Tick when, std::size_t heap_depth,
     }
 }
 
-void
-SimProfiler::absorb(const SimProfiler &o)
-{
-    // Replay the shard's trie into this one. Nodes are created on
-    // first descent, so a parent's index is always smaller than its
-    // children's — one forward pass with an id map suffices.
-    std::vector<std::uint32_t> idMap(o.nodes.size(), 0);
-    for (std::uint32_t i = 1; i < o.nodes.size(); ++i) {
-        const Node &on = o.nodes[i];
-        std::uint32_t parent = idMap[on.parent];
-        std::uint64_t key =
-            (static_cast<std::uint64_t>(parent) << 46)
-            | (static_cast<std::uint64_t>(on.kind) << 42)
-            | (static_cast<std::uint64_t>(on.domain.dim) << 40)
-            | (static_cast<std::uint64_t>(on.domain.index) << 24)
-            | static_cast<std::uint64_t>(on.comp & 0xffffffu);
-        std::uint32_t id;
-        if (std::uint32_t *c = childIndex.find(key)) {
-            id = *c;
-        } else {
-            id = static_cast<std::uint32_t>(nodes.size());
-            assert(id < (1u << 18) && "profiler path trie overflow");
-            Node n;
-            n.parent = parent;
-            n.kind = on.kind;
-            n.domain = on.domain;
-            n.comp = on.comp;
-            nodes.push_back(n);
-            childIndex.put(key, id);
-        }
-        nodes[id].ns += on.ns;
-        nodes[id].count += on.count;
-        idMap[i] = id;
-    }
-
-    scopes += o.scopes;
-    events += o.events;
-
-    depthHist.merge(o.depthHist);
-    batchHist.merge(o.batchHist);
-    horizonHist.merge(o.horizonHist);
-    occHist.merge(o.occHist);
-    // The shard never deactivates, so flush its pending same-tick
-    // batch here (the shard is reset right after being absorbed).
-    if (o.batchLen)
-        batchHist.sample(static_cast<double>(o.batchLen));
-    slabHighWater = std::max(slabHighWater, o.slabHighWater);
-    freeHighWater = std::max(freeHighWater, o.freeHighWater);
-}
-
-void
-SimProfiler::reset()
-{
-    assert(cur == 0 && "SimProfiler::reset mid-scope");
-    nodes.clear();
-    nodes.emplace_back();  // root
-    childIndex.clear();
-    cur = 0;
-    scopes = events = 0;
-    totalWallNs = 0;
-    depthHist.reset();
-    batchHist.reset();
-    horizonHist.reset();
-    occHist.reset();
-    slabHighWater = freeHighWater = 0;
-    batchTick = 0;
-    batchLen = 0;
-}
-
 std::vector<std::uint64_t>
 SimProfiler::selfNs() const
 {

@@ -100,22 +100,6 @@ class SimProfiler
      *  paths make when profiling is off. */
     static SimProfiler *active() { return tlActive; }
 
-    /**
-     * Swap this thread's active profiler for @p p (may be null) and
-     * return the previous one, touching no wall-clock bookkeeping on
-     * either side — unlike activate()/deactivate(), which stamp the
-     * activation span. The parallel engine uses this to install a
-     * lane's shard profiler around lane execution and restore the
-     * enclosing profiler afterwards without corrupting its wallNs().
-     */
-    static SimProfiler *
-    exchangeActive(SimProfiler *p)
-    {
-        SimProfiler *prev = tlActive;
-        tlActive = p;
-        return prev;
-    }
-
     /** Monotonic host clock, nanoseconds. */
     static std::uint64_t
     nowNs()
@@ -156,30 +140,6 @@ class SimProfiler
 
     /** Write toJson() to @p os (pretty-printed). */
     void exportJson(std::ostream &os) const;
-
-    /**
-     * Fold another profiler's accumulated data into this one: trie
-     * nodes are matched (or created) path-by-path and their ns/count
-     * charged here, and the event-queue histograms merge
-     * bucket-exact. Wall-clock bookkeeping (activation time,
-     * accumulated wall ns) is deliberately untouched — it describes
-     * *this* profiler's activation span, not the shard's.
-     *
-     * This is how the parallel engine gives each lane a thread-local
-     * shard profiler and still exports one coherent profile: shards
-     * are absorbed on the coordinator in lane order at every window
-     * boundary, then reset. @p o must not be mid-scope (its scope
-     * stack unwound), which is guaranteed at a window barrier.
-     */
-    void absorb(const SimProfiler &o);
-
-    /**
-     * Drop all accumulated data (trie, histograms) so the profiler
-     * can be reused as a fresh shard after absorb().
-     * Must not be called mid-scope. Wall-clock bookkeeping is reset
-     * too; activation state is untouched.
-     */
-    void reset();
 
   private:
     struct Node

@@ -15,11 +15,6 @@ resolveSimThreads(const SimThreadsRequest &req)
         d.warnings.push_back(std::string(flag) + " " + why
                              + "; forcing --sim-threads=0");
     };
-    if (req.metricsSampling) {
-        force("--metrics-out",
-              "samples the live stat tree mid-run and requires the "
-              "sequential engine");
-    }
     if (req.faultDrop) {
         force("--fault-drop",
               "injects faults from a single RNG across bus lanes and "

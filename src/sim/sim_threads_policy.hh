@@ -4,17 +4,15 @@
  * engine (`--sim-threads`, docs/PERFORMANCE.md) must fall back to the
  * sequential engine.
  *
- * The parallel engine composes with the in-process observers that are
- * lane-aware — SimProfiler and TransactionTracer run as per-lane
- * shards folded canonically at window boundaries — so profiling and
- * tracing deliberately do NOT appear here. What still forces the
- * sequential engine:
- *
- *  - metrics sampling (`--metrics-out`): the sampler reads the live
- *    stat tree mid-run from a timer event, racing every lane;
- *  - fault injection (`--fault-drop`, `--fault-plan`): injectors draw
- *    from one RNG on bus paths across lanes, and the recovery
- *    machinery (reconfiguration epochs) serializes on global state.
+ * Every observer composes with the parallel engine: the metrics
+ * sampler and progress monitor run as window-end observers
+ * (EventQueue::observe), and a run with the profiler or tracer active
+ * executes its lanes on the observing thread. So `--metrics-out`,
+ * `--profile-out` and `--trace-out` deliberately do NOT appear here.
+ * Only fault injection (`--fault-drop`, `--fault-plan`) forces the
+ * sequential engine: injectors draw from one RNG on bus paths across
+ * lanes, and the recovery machinery (reconfiguration epochs)
+ * serializes on global state.
  *
  * The decision lives in the library, not in the CLI, so tests can
  * assert both the forcing behaviour and the exact warning text that
@@ -33,10 +31,9 @@ namespace mcube
 /** What the caller asked for, as relevant to the policy. */
 struct SimThreadsRequest
 {
-    unsigned simThreads = 0;   //!< requested worker count
-    bool metricsSampling = false;  //!< --metrics-out active
-    bool faultDrop = false;        //!< --fault-drop > 0
-    bool faultPlan = false;        //!< --fault-plan given
+    unsigned simThreads = 0;  //!< requested worker count
+    bool faultDrop = false;   //!< --fault-drop > 0
+    bool faultPlan = false;   //!< --fault-plan given
 };
 
 /** The resolved worker count plus one warning line per forcing flag. */

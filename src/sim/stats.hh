@@ -155,8 +155,8 @@ class Histogram
      * Fold another histogram's samples into this one, as if every
      * sample had been recorded here directly. Bucket counts add
      * exactly, so percentiles of the merged histogram equal those of
-     * a single histogram fed both streams. Used by the lane-sharded
-     * profiler (SimProfiler::absorb) at window boundaries.
+     * a single histogram fed both streams (e.g. a latency histogram
+     * summed over every node).
      */
     void
     merge(const Histogram &o)

@@ -17,9 +17,10 @@
  *
  * The simulator core stays single-threaded: nothing in src/ shares
  * mutable state between two running systems (the Log sink is
- * mutex-guarded, tracing stays a one-run-at-a-time tool). A sweep at
- * --jobs 1 executes points inline on the calling thread, which keeps
- * debugging and tracing simple.
+ * mutex-guarded, tracer and profiler activation is per thread, and a
+ * metrics sampler belongs to one system). A sweep at --jobs 1
+ * executes points inline on the calling thread, which keeps debugging
+ * and tracing simple.
  */
 
 #ifndef MCUBE_SIM_SWEEP_RUNNER_HH

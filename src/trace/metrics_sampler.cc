@@ -8,8 +8,8 @@ namespace mcube
 {
 
 MetricsSampler::MetricsSampler(MulticubeSystem &sys, Tick period,
-                               std::ostream &os, bool include_stats)
-    : sys(sys), period(period), os(os), includeStats(include_stats)
+                               std::ostream &os)
+    : sys(sys), period(period), os(os)
 {
     assert(period > 0);
     lastRowBusy.resize(sys.n(), 0);
@@ -19,40 +19,28 @@ MetricsSampler::MetricsSampler(MulticubeSystem &sys, Tick period,
 void
 MetricsSampler::start()
 {
-    if (active)
+    if (observer)
         return;
-    active = true;
     lastTick = sys.eventQueue().now();
     for (unsigned i = 0; i < sys.n(); ++i) {
         lastRowBusy[i] = sys.rowBus(i).busyTicks();
         lastColBusy[i] = sys.colBus(i).busyTicks();
     }
-    arm();
+    observer = sys.eventQueue().observe(period, [this] { sampleNow(); });
 }
 
 void
 MetricsSampler::stop()
 {
-    if (!active)
+    if (!observer)
         return;
-    active = false;
+    observer.reset();
     // Flush the final partial interval: a run whose length is not a
     // multiple of the period would otherwise silently drop its tail
     // (and a run shorter than one period would produce no samples at
     // all). Skip only when the last sample already covers "now".
     if (sys.eventQueue().now() > lastTick || samples == 0)
         sampleNow();
-}
-
-void
-MetricsSampler::arm()
-{
-    sys.eventQueue().scheduleIn(period, [this] {
-        if (!active)
-            return;
-        sampleNow();
-        arm();
-    });
 }
 
 void
@@ -92,21 +80,17 @@ MetricsSampler::sampleNow()
         os << (i ? "," : "") << sys.colBus(i).pendingOps();
     os << "]";
 
-    if (includeStats) {
-        // The tree shape is fixed after construction, so the entries
-        // arrive in a stable order and no per-sample map is needed.
-        FlatStats flat;
-        sys.statistics().flatten(flat);
-        os << ",\"stats\":{";
-        const char *sep = "";
-        for (const auto &[name, value] : flat) {
-            os << sep << "\"" << name << "\":" << value;
-            sep = ",";
-        }
-        os << "}";
+    // The tree shape is fixed after construction, so the entries
+    // arrive in a stable order and no per-sample map is needed.
+    FlatStats flat;
+    sys.statistics().flatten(flat);
+    os << ",\"stats\":{";
+    const char *sep = "";
+    for (const auto &[name, value] : flat) {
+        os << sep << "\"" << name << "\":" << value;
+        sep = ",";
     }
-
-    os << "}\n";
+    os << "}}\n";
     lastTick = now;
     ++samples;
 }

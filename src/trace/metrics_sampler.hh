@@ -17,12 +17,12 @@
  *
  * Interval utilisation is computed from busy-tick deltas, so the
  * series shows load as it happens rather than a long-run average.
- * The flattened stat tree (cumulative, as flatten() reports it) can
- * be disabled for very frequent sampling.
  *
- * The sampler self-schedules on the system's event queue; call stop()
- * before draining the system, or the rearm events keep the queue
- * non-empty forever.
+ * The sampler is a periodic observer of the system's event queue
+ * (EventQueue::observe), not a timer event: it never changes the
+ * run's schedule, works the same under the sequential and the
+ * parallel engine (where it samples at window ends, so "tick" is the
+ * window's start), and leaves drain() unaffected.
  */
 
 #ifndef MCUBE_TRACE_METRICS_SAMPLER_HH
@@ -46,36 +46,31 @@ class MetricsSampler
      * @param sys System to observe.
      * @param period Ticks between samples (must be > 0).
      * @param os Sink; one JSON object per line.
-     * @param include_stats Embed the flattened stat tree per sample.
      */
-    MetricsSampler(MulticubeSystem &sys, Tick period, std::ostream &os,
-                   bool include_stats = true);
+    MetricsSampler(MulticubeSystem &sys, Tick period, std::ostream &os);
 
     MetricsSampler(const MetricsSampler &) = delete;
     MetricsSampler &operator=(const MetricsSampler &) = delete;
 
-    /** Schedule the first sample one period from now. */
+    /** Sample every period from now on. */
     void start();
 
-    /** Take no further samples (a last no-op wakeup may still fire).
-     *  Emits one final sample first if simulated time has advanced
-     *  past the last one, so the tail of a run — or a run shorter
-     *  than one period — is never silently dropped. */
+    /** Take no further samples. Emits one final sample first if
+     *  simulated time has advanced past the last one, so the tail of
+     *  a run — or a run shorter than one period — is never silently
+     *  dropped. */
     void stop();
 
-    /** Take one sample immediately (also used by the timer). */
+    /** Take one sample immediately (also what the observer calls). */
     void sampleNow();
 
     std::uint64_t samplesTaken() const { return samples; }
 
   private:
-    void arm();
-
     MulticubeSystem &sys;
     Tick period;
     std::ostream &os;
-    bool includeStats;
-    bool active = false;
+    EventQueue::ObserverHandle observer;
 
     std::uint64_t samples = 0;
     std::vector<Tick> lastRowBusy;

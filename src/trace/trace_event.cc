@@ -1,5 +1,6 @@
 #include "trace/trace_event.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <utility>
@@ -155,13 +156,21 @@ emitArgs(std::ostream &os, const TraceEvent &ev)
 void
 TransactionTracer::exportChromeJson(std::ostream &os) const
 {
+    std::vector<const TraceEvent *> evs(count);
+    for (std::size_t i = 0; i < count; ++i)
+        evs[i] = &at(i);
+    std::stable_sort(evs.begin(), evs.end(),
+                     [](const TraceEvent *a, const TraceEvent *b) {
+                         return a->tick < b->tick;
+                     });
+
     os << "{\"traceEvents\":[\n";
     const char *sep = "";
 
     // Process-name metadata, one entry per distinct component.
     std::map<long, std::string> procs;
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceEvent &ev = at(i);
+    for (const TraceEvent *e : evs) {
+        const TraceEvent &ev = *e;
         procs.emplace(pidOf(ev),
                       std::string(toString(ev.comp))
                           + std::to_string(ev.compIndex));
@@ -174,8 +183,8 @@ TransactionTracer::exportChromeJson(std::ostream &os) const
     }
 
     // One instant event per record.
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceEvent &ev = at(i);
+    for (const TraceEvent *e : evs) {
+        const TraceEvent &ev = *e;
         os << sep << "{\"ph\":\"i\",\"s\":\"p\",\"name\":\""
            << toString(ev.phase) << "\",\"ts\":";
         emitTs(os, ev.tick);
@@ -190,8 +199,8 @@ TransactionTracer::exportChromeJson(std::ostream &os) const
     // a controller has one outstanding transaction, so slices on one
     // track never overlap).
     std::map<std::pair<std::uint32_t, std::uint64_t>, Tick> issued;
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceEvent &ev = at(i);
+    for (const TraceEvent *e : evs) {
+        const TraceEvent &ev = *e;
         if (ev.comp != TraceComp::Controller)
             continue;
         if (ev.phase == TracePhase::Issue) {

@@ -19,12 +19,14 @@
  * transaction (issue -> complete, keyed by originator and
  * transaction-instance id). `mcube_report trace` reads it back.
  *
- * Tracing is disabled by default and costs one static pointer load
- * and branch per site — the same zero-cost-when-disabled discipline
- * as MCUBE_LOG. A tracer becomes the active sink with activate() and
- * detaches with deactivate() (or its destructor); at most one tracer
- * is active per process, matching the one-simulation-at-a-time use of
- * the tools and tests.
+ * Tracing is disabled by default and costs one thread-local pointer
+ * load and branch per site — the same zero-cost-when-disabled
+ * discipline as MCUBE_LOG. A tracer becomes the calling thread's
+ * active sink with activate() and detaches with deactivate() (or its
+ * destructor); at most one tracer is active per thread, the same
+ * discipline as SimProfiler. A parallel-engine run with a tracer
+ * active on its coordinator executes every lane on that thread (see
+ * sim/parallel_engine.hh).
  */
 
 #ifndef MCUBE_TRACE_TRACE_EVENT_HH
@@ -114,12 +116,7 @@ class TransactionTracer
     TransactionTracer &operator=(const TransactionTracer &) = delete;
 
     /** Install this tracer as this *thread's* sink (replacing any
-     *  previously active one). Activation is thread-local — the same
-     *  discipline as SimProfiler — so the parallel engine can give
-     *  each lane its own shard tracer on whichever worker thread runs
-     *  it, and merge the shards canonically at window boundaries
-     *  (ParallelEngine). Single-threaded users see the historical
-     *  one-active-tracer-per-process behaviour unchanged. */
+     *  previously active one). */
     void activate();
 
     /** Detach; MCUBE_TRACE becomes a no-op again. */
@@ -128,17 +125,6 @@ class TransactionTracer
     /** The calling thread's active sink, or nullptr when tracing is
      *  off. This is the whole cost of a disabled trace site. */
     static TransactionTracer *active() { return gActive; }
-
-    /** Swap this thread's active sink for @p t (may be null) and
-     *  return the previous one. Used by the parallel engine to
-     *  install a lane's shard tracer around lane execution. */
-    static TransactionTracer *
-    exchangeActive(TransactionTracer *t)
-    {
-        TransactionTracer *prev = gActive;
-        gActive = t;
-        return prev;
-    }
 
     /** Append one event (overwrites the oldest once full). */
     void record(const TraceEvent &ev);
@@ -155,7 +141,9 @@ class TransactionTracer
     void clear();
     /** @} */
 
-    /** Write Chrome trace-event JSON (Perfetto / chrome://tracing). */
+    /** Write Chrome trace-event JSON (Perfetto / chrome://tracing).
+     *  Records are written stable-sorted by tick: a parallel-engine
+     *  run records each window lane by lane. */
     void exportChromeJson(std::ostream &os) const;
 
   private:

@@ -10,13 +10,16 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "core/checker.hh"
 #include "core/system.hh"
 #include "fault/fault_injector.hh"
 #include "fault/progress_monitor.hh"
+#include "proc/mix_workload.hh"
 #include "proc/random_tester.hh"
+#include "trace/metrics_sampler.hh"
 
 using namespace mcube;
 
@@ -568,6 +571,37 @@ TEST(ProgressMonitorTest, DiagnosesDeadlockWhenRecoveryIsDisabled)
     // The diagnosis names the stuck transactions and the system state.
     EXPECT_NE(monitor.report().find("pending state"), std::string::npos);
     EXPECT_NE(monitor.report().find("requested"), std::string::npos);
+}
+
+TEST(ProgressMonitorTest, ChecksForTheWholeRunUnderTheEngine)
+{
+    // The monitor is a run-loop observer: under the parallel engine it
+    // checks every period for the whole run (a self-scheduled check
+    // that cancels itself on an empty sequential heap would quit at
+    // its first idle check there), and neither it nor a sampler keeps
+    // drain() from finishing.
+    SystemParams p;
+    p.n = 4;
+    p.simThreads = 1;
+    MulticubeSystem sys(p);
+    ProgressMonitor monitor(
+        sys, {/*checkIntervalTicks=*/100'000, /*stallChecks=*/4});
+    monitor.start();
+    std::ostringstream series;
+    MetricsSampler sampler(sys, 100'000, series);
+    sampler.start();
+
+    MixParams mix;
+    mix.requestsPerMs = 5.0;
+    MixWorkload wl(sys, mix);
+    wl.start();
+    sys.run(5'000'000);
+    wl.stop();
+    EXPECT_TRUE(sys.drain());
+
+    EXPECT_GE(monitor.checksRun(), 50u);
+    EXPECT_FALSE(monitor.stalled()) << monitor.report();
+    EXPECT_GE(sampler.samplesTaken(), 50u);
 }
 
 TEST(ProgressMonitorTest, StaysQuietOnAHealthyRun)

@@ -14,7 +14,9 @@
  *
  * Also covered: observer composition (profiler + tracer active under
  * 1 and 4 workers must leave results untouched and export the same
- * trace bit-for-bit), the hard-error contract for past-tick
+ * trace bit-for-bit; a metrics sampler and a progress monitor must
+ * leave every simulated result untouched under both engines), the
+ * hard-error contract for past-tick
  * scheduling in parallel mode (a death test — sequentially the queue
  * clamps and counts instead), drain termination, telemetry
  * consistency, the bounds of the Amdahl projection, and the shape of
@@ -29,11 +31,13 @@
 
 #include "core/checker.hh"
 #include "core/system.hh"
+#include "fault/progress_monitor.hh"
 #include "proc/mix_workload.hh"
 #include "proc/random_tester.hh"
 #include "sim/json.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/profiler.hh"
+#include "trace/metrics_sampler.hh"
 #include "trace/trace_event.hh"
 
 using namespace mcube;
@@ -49,15 +53,26 @@ struct RunOutcome
     bool drained = false;
 };
 
+/** A fixed-seed mix run. A non-null @p jsonl attaches a MetricsSampler
+ *  (5,000-tick period, series written to *jsonl) and a ProgressMonitor
+ *  for the whole run, drain included. */
 RunOutcome
 runMix(unsigned n, unsigned threads, std::uint64_t seed, double rate,
-       Tick sim_ticks)
+       Tick sim_ticks, std::string *jsonl = nullptr)
 {
     SystemParams sp;
     sp.n = n;
     sp.seed = seed;
     sp.simThreads = threads;
     MulticubeSystem sys(sp);
+
+    std::ostringstream series;
+    MetricsSampler sampler(sys, 5'000, series);
+    ProgressMonitor monitor(sys);
+    if (jsonl) {
+        sampler.start();
+        monitor.start();
+    }
 
     MixParams mix;
     mix.requestsPerMs = rate;
@@ -72,6 +87,10 @@ runMix(unsigned n, unsigned threads, std::uint64_t seed, double rate,
     sys.statistics().flatten(out.stats);
     out.endTick = sys.eventQueue().now();
     out.events = sys.eventQueue().eventsExecuted();
+    if (jsonl) {
+        sampler.stop();
+        *jsonl = series.str();
+    }
     return out;
 }
 
@@ -153,9 +172,10 @@ TEST(ParallelEngine, BitIdenticalOnSmallGridHighRate)
 TEST(ParallelEngine, ObserversComposeAndPreserveDeterminism)
 {
     // Profiling and tracing must neither perturb simulated results
-    // nor depend on the worker count: the engine runs per-lane
-    // observer shards and folds them canonically at window boundaries
-    // (docs/PERFORMANCE.md). Three-way check on one fixed-seed config:
+    // nor depend on the worker count: while either is active the
+    // engine runs every lane on the observing thread, and the Chrome
+    // export orders records by tick (docs/PERFORMANCE.md,
+    // "Observers"). Three-way check on one fixed-seed config:
     //
     //  - observers ON vs OFF: identical stat tree (1 worker);
     //  - observers ON, 1 vs 4 workers: identical stat tree AND a
@@ -163,7 +183,7 @@ TEST(ParallelEngine, ObserversComposeAndPreserveDeterminism)
     //  - both observers actually saw the run (no silent no-op pass).
     //
     // The tsan CI job runs this binary, so the same sweep doubles as
-    // the data-race gate for the observer shard swap/merge paths.
+    // the data-race gate for the observed (inline) phase path.
     const RunOutcome ref = runMix(8, 1, 0xD15EA5E, 40.0, 300'000);
     EXPECT_TRUE(ref.drained);
 
@@ -183,14 +203,35 @@ TEST(ParallelEngine, ObserversComposeAndPreserveDeterminism)
     EXPECT_EQ(obs1.traceJson, obs4.traceJson);
 }
 
+TEST(ParallelEngine, PeriodicObserversDoNotPerturbTheSchedule)
+{
+    // The metrics sampler and the progress monitor are run-loop
+    // observers (EventQueue::observe), not timer events, so attaching
+    // them changes nothing simulated under either engine: a timer
+    // event on the serial lane would move every later window boundary
+    // of the engine's empty-stretch skip. The sampler's series is a
+    // function of the configuration, not of the worker count.
+    std::string series[3];
+    const unsigned threads[] = {0, 1, 4};
+    for (unsigned i = 0; i < 3; ++i) {
+        const RunOutcome bare = runMix(8, threads[i], 3, 25.0, 1'000'000);
+        const RunOutcome watched =
+            runMix(8, threads[i], 3, 25.0, 1'000'000, &series[i]);
+        EXPECT_TRUE(bare.drained);
+        expectIdentical(bare, watched, threads[i]);
+        EXPECT_NE(series[i].find("\"stats\":"), std::string::npos);
+    }
+    EXPECT_EQ(series[1], series[2]);
+}
+
 TEST(ParallelEngine, CheckerComposesWithBarrierChecks)
 {
     // The coherence checker's per-op invariants read live global
-    // state, so under the window-phased engine they run from the
-    // barrier hook, once the window's commits have all landed in the
-    // golden history (checker.cc). A mid-window check would see e.g.
-    // a home-lane write hit's token in the cache before its commit
-    // deferral reaches the history and raise a false I3. Gate: a
+    // state, so under the window-phased engine they run from a
+    // window-end observer, once the window's commits have all landed
+    // in the golden history (checker.cc). A mid-window check would
+    // see e.g. a home-lane write hit's token in the cache before its
+    // commit deferral reaches the history and raise a false I3. Gate: a
     // watchdog-armed random campaign under the checker reports zero
     // violations at every worker count and stays bit-identical.
     auto campaign = [](unsigned threads) {

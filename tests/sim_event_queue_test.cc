@@ -225,3 +225,54 @@ TEST(EventQueue, ScheduleInUsesCurrentTime)
     eq.run();
     EXPECT_EQ(fired_at, 10u);
 }
+
+TEST(EventQueue, ObserversRunBetweenEventsOncePerDeadline)
+{
+    // Sequentially an observer runs from the run loop, never as an
+    // event: once per deadline, with now() at the deadline and every
+    // event up to it done, also across a stretch with no events.
+    // Dropping the handle unregisters it.
+    EventQueue eq;
+    std::size_t ran = 0;
+    eq.schedule(100, [&] { ++ran; });
+    eq.schedule(150, [&] { ++ran; });
+    std::vector<std::pair<Tick, std::size_t>> calls;
+    EventQueue::ObserverHandle h =
+        eq.observe(100, [&] { calls.emplace_back(eq.now(), ran); });
+    eq.runUntil(450);
+    EXPECT_EQ(calls, (std::vector<std::pair<Tick, std::size_t>>{
+                         {100, 1}, {200, 2}, {300, 2}, {400, 2}}));
+    EXPECT_EQ(eq.now(), 450u);
+    EXPECT_EQ(eq.eventsExecuted(), 2u);
+    h.reset();
+    eq.runUntil(1'000);
+    EXPECT_EQ(calls.size(), 4u);
+}
+
+TEST(EventQueue, EngineObserversRunAtWindowEnds)
+{
+    // Under the parallel engine an observer runs at the end of the
+    // first window that reaches its deadline, with now() at that
+    // window's start; deadlines in an event-free stretch fire with
+    // now() at the deadline, at most once per window width.
+    EventQueue eq;
+    ParallelEngine engine(eq, 2, 1, 50);
+    eq.setParallel(&engine);
+    std::size_t ran = 0;
+    eq.schedule(180, [&] { ++ran; });
+    eq.schedule(230, [&] { ++ran; });
+    std::vector<std::pair<Tick, std::size_t>> calls;
+    EventQueue::ObserverHandle h =
+        eq.observe(100, [&] { calls.emplace_back(eq.now(), ran); });
+    eq.runUntil(600);
+    EXPECT_EQ(calls, (std::vector<std::pair<Tick, std::size_t>>{
+                         {100, 0}, {180, 1}, {300, 2}, {400, 2},
+                         {500, 2}, {600, 2}}));
+    EXPECT_EQ(eq.now(), 600u);
+    h.reset();
+
+    unsigned every = 0;
+    EventQueue::ObserverHandle w = eq.observe(1, [&] { ++every; });
+    eq.runUntil(1'600);
+    EXPECT_EQ(every, 1'000u / 50);
+}

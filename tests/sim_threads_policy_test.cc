@@ -7,10 +7,11 @@
  * engine believing it was sharded. The policy (and its exact warning
  * text) lives in the library precisely so this test can pin it.
  *
- * Equally important is what must NOT force the fallback: profiling
- * and tracing are lane-aware (per-lane shards, canonical fold at
- * window boundaries) and compose with --sim-threads, so the policy
- * has no knob for them at all.
+ * Equally important is what must NOT force the fallback: metrics
+ * sampling runs as a window-end observer, and a profiled or traced
+ * run executes its lanes on the observing thread, so all three
+ * compose with --sim-threads and the policy has no knob for them at
+ * all. Only fault injection forces the sequential engine.
  */
 
 #include <gtest/gtest.h>
@@ -48,27 +49,11 @@ TEST(SimThreadsPolicy, SequentialRequestNeverWarns)
     // taken away from the user, so nothing is worth a warning line.
     SimThreadsRequest req;
     req.simThreads = 0;
-    req.metricsSampling = true;
     req.faultDrop = true;
     req.faultPlan = true;
     const SimThreadsDecision d = resolveSimThreads(req);
     EXPECT_EQ(d.simThreads, 0u);
     EXPECT_FALSE(d.forced());
-}
-
-TEST(SimThreadsPolicy, MetricsSamplingForcesAndNamesItsFlag)
-{
-    SimThreadsRequest req;
-    req.simThreads = 4;
-    req.metricsSampling = true;
-    const SimThreadsDecision d = resolveSimThreads(req);
-    EXPECT_EQ(d.simThreads, 0u);
-    EXPECT_TRUE(d.forced());
-    ASSERT_EQ(d.warnings.size(), 1u);
-    EXPECT_TRUE(mentions(d.warnings[0], "--metrics-out"))
-        << d.warnings[0];
-    EXPECT_TRUE(mentions(d.warnings[0], "forcing --sim-threads=0"))
-        << d.warnings[0];
 }
 
 TEST(SimThreadsPolicy, FaultDropForcesAndNamesItsFlag)
@@ -105,34 +90,33 @@ TEST(SimThreadsPolicy, EachForcingFlagGetsItsOwnLine)
     // reason, one line each, not just the first one found.
     SimThreadsRequest req;
     req.simThreads = 4;
-    req.metricsSampling = true;
     req.faultDrop = true;
     req.faultPlan = true;
     const SimThreadsDecision d = resolveSimThreads(req);
     EXPECT_EQ(d.simThreads, 0u);
-    ASSERT_EQ(d.warnings.size(), 3u);
-    EXPECT_TRUE(mentions(d.warnings[0], "--metrics-out"));
-    EXPECT_TRUE(mentions(d.warnings[1], "--fault-drop"));
-    EXPECT_TRUE(mentions(d.warnings[2], "--fault-plan"));
+    ASSERT_EQ(d.warnings.size(), 2u);
+    EXPECT_TRUE(mentions(d.warnings[0], "--fault-drop"));
+    EXPECT_TRUE(mentions(d.warnings[1], "--fault-plan"));
     for (const std::string &w : d.warnings)
         EXPECT_TRUE(mentions(w, "forcing --sim-threads=0")) << w;
 }
 
 TEST(SimThreadsPolicy, NoWarningEverMentionsProfilingOrTracing)
 {
-    // Lane-aware observers compose with the parallel engine, so the
-    // policy has no knob for them: even with every forcing flag on,
-    // no warning may blame --profile-out or --trace-out. If a forcing
-    // knob for profiling or tracing ever reappears, this test is
-    // where that decision has to be revisited deliberately.
+    // Observers compose with the parallel engine, so the policy has
+    // no knob for them: even with every forcing flag on, no warning
+    // may blame --profile-out, --trace-out or --metrics-out. If a
+    // forcing knob for an observer ever reappears, this test is where
+    // that decision has to be revisited deliberately.
     SimThreadsRequest req;
     req.simThreads = 4;
-    req.metricsSampling = true;
     req.faultDrop = true;
     req.faultPlan = true;
     const SimThreadsDecision d = resolveSimThreads(req);
+    ASSERT_FALSE(d.warnings.empty());
     for (const std::string &w : d.warnings) {
         EXPECT_FALSE(mentions(w, "profile")) << w;
         EXPECT_FALSE(mentions(w, "trace")) << w;
+        EXPECT_FALSE(mentions(w, "--metrics-out")) << w;
     }
 }

@@ -291,7 +291,7 @@ TEST(MetricsSamplerTest, EmitsParseableJsonl)
 {
     MulticubeSystem sys(smallParams());
     std::ostringstream os;
-    MetricsSampler sampler(sys, 10'000, os, /*include_stats=*/true);
+    MetricsSampler sampler(sys, 10'000, os);
     sampler.start();
 
     unsigned completed = 0;
@@ -322,18 +322,4 @@ TEST(MetricsSamplerTest, EmitsParseableJsonl)
         EXPECT_NE(line.find("\"stats\":"), std::string::npos);
     }
     EXPECT_EQ(nlines, sampler.samplesTaken());
-}
-
-TEST(MetricsSamplerTest, StatsCanBeExcluded)
-{
-    MulticubeSystem sys(smallParams(2));
-    std::ostringstream os;
-    MetricsSampler sampler(sys, 5'000, os, /*include_stats=*/false);
-    sampler.start();
-    sys.run(20'000);
-    sampler.stop();
-    sys.drain();
-
-    EXPECT_GE(sampler.samplesTaken(), 2u);
-    EXPECT_EQ(os.str().find("\"stats\":"), std::string::npos);
 }

@@ -332,7 +332,7 @@ main(int argc, char **argv)
     }
 
     std::cout << "fuzz_campaign: seed=" << opt.seed
-              << " runs=" << opt.runs << " rev=" << gitRevision()
+              << " runs=" << opt.runs << " rev=" << run::gitRevision()
               << (opt.isolate ? " isolate=on" : " isolate=off")
               << (opt.journalPath.empty()
                       ? std::string{}
