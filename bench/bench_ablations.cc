@@ -15,11 +15,7 @@
  *                latency (not correctness) cost.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 #include "core/checker.hh"
@@ -29,9 +25,6 @@ using namespace mcube::bench;
 
 namespace
 {
-
-const std::vector<std::int64_t> kMltSets = {1, 2, 4, 16, 64};
-const std::vector<std::int64_t> kDropPcts = {0, 5, 20, 50};
 
 /** Read-heavy hot-set workload where every node repeatedly reads a
  *  small set of lines that one node periodically rewrites. */
@@ -213,129 +206,34 @@ runSignalDrops(double drop)
             {"efficiency", wl.efficiency()}};
 }
 
-const bool kDeclared = [] {
-    for (int v : {0, 1}) {
-        declarePoint("snarfing" + std::to_string(v),
-                     [v] { return runSnarfing(v != 0); });
-        declarePoint("allocate" + std::to_string(v),
-                     [v] { return runAllocateHint(v != 0); });
-        declarePoint("early_write" + std::to_string(v),
-                     [v] { return runAllocateEarlyWrite(v != 0); });
-        declarePoint("false_sharing" + std::to_string(v),
-                     [v] { return runFalseSharing(v != 0); });
-    }
-    for (std::int64_t sets : kMltSets) {
-        declarePoint("mlt_sets" + std::to_string(sets), [sets] {
-            return runMltSize(static_cast<unsigned>(sets));
-        });
-    }
-    for (std::int64_t pct : kDropPcts) {
-        declarePoint("drop_pct" + std::to_string(pct), [pct] {
-            return runSignalDrops(static_cast<double>(pct) / 100.0);
-        });
-    }
-    return true;
-}();
-
-/** Shared shape of every ablation benchmark: look the point up,
- *  surface every metric as a counter, record it. */
-void
-reportPoint(benchmark::State &state, const std::string &label)
-{
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    for (const auto &[name, value] : m) {
-        if (name != "wall_seconds")
-            state.counters[name] = value;
-    }
-    BenchJson::instance().record("ablations", label, m);
-}
-
-void
-BM_Snarfing(benchmark::State &state)
-{
-    reportPoint(state, "snarfing" + std::to_string(state.range(0)));
-}
-
-void
-BM_AllocateHint(benchmark::State &state)
-{
-    reportPoint(state, "allocate" + std::to_string(state.range(0)));
-}
-
-void
-BM_MltSize(benchmark::State &state)
-{
-    reportPoint(state, "mlt_sets" + std::to_string(state.range(0)));
-}
-
-void
-BM_AllocateEarlyWrite(benchmark::State &state)
-{
-    reportPoint(state,
-                "early_write" + std::to_string(state.range(0)));
-}
-
-void
-BM_FalseSharing(benchmark::State &state)
-{
-    reportPoint(state,
-                "false_sharing" + std::to_string(state.range(0)));
-}
-
-void
-BM_SignalDrops(benchmark::State &state)
-{
-    reportPoint(state, "drop_pct" + std::to_string(state.range(0)));
-}
-
 } // namespace
 
-BENCHMARK(BM_Snarfing)
-    ->ArgNames({"snarfing"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_AllocateHint)
-    ->ArgNames({"allocate"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_MltSize)
-    ->ArgNames({"mlt_sets"})
-    ->ArgsProduct({kMltSets})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_AllocateEarlyWrite)
-    ->ArgNames({"early_write"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_FalseSharing)
-    ->ArgNames({"same_block"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_SignalDrops)
-    ->ArgNames({"drop_pct"})
-    ->ArgsProduct({kDropPcts})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-MCUBE_BENCH_MAIN();
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "ablations");
+    for (int v : {0, 1}) {
+        const std::string on = std::to_string(v);
+        report.point("snarfing" + on, {"misses", "snarfs", "bus_ops"},
+                     [&] { return runSnarfing(v != 0); });
+        report.point("allocate" + on, {"elapsed_ns", "total_ops"},
+                     [&] { return runAllocateHint(v != 0); });
+        report.point("early_write" + on, {"proc_blocked_ns"},
+                     [&] { return runAllocateEarlyWrite(v != 0); });
+        report.point("false_sharing" + on, {"bus_ops", "ns_per_round"},
+                     [&] { return runFalseSharing(v != 0); });
+    }
+    for (unsigned sets : {1u, 2u, 4u, 16u, 64u}) {
+        report.point("mlt_sets" + std::to_string(sets),
+                     {"mlt_entries", "overflow_wbs", "bus_ops",
+                      "efficiency"},
+                     [&] { return runMltSize(sets); });
+    }
+    for (int pct : {0, 5, 20, 50}) {
+        report.point("drop_pct" + std::to_string(pct),
+                     {"drops", "reissues", "mean_latency_ns",
+                      "efficiency"},
+                     [&] { return runSignalDrops(pct / 100.0); });
+    }
+    return 0;
+}

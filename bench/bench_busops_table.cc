@@ -13,10 +13,7 @@
  * across all buses, split by dimension.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 #include "core/system.hh"
@@ -26,15 +23,6 @@ using namespace mcube::bench;
 
 namespace
 {
-
-const std::vector<std::int64_t> kSizes = {4, 8, 16};
-const std::vector<std::int64_t> kKinds = {0, 1, 2, 3, 4};
-
-std::string
-pointLabel(unsigned n, int kind)
-{
-    return "n" + std::to_string(n) + "_kind" + std::to_string(kind);
-}
 
 struct OpsCount
 {
@@ -108,44 +96,20 @@ runTransaction(unsigned n, int kind)
             {"paper_total", paper}};
 }
 
-const bool kDeclared = [] {
-    for (std::int64_t n : kSizes) {
-        for (std::int64_t kind : kKinds) {
-            declarePoint(pointLabel(static_cast<unsigned>(n),
-                                    static_cast<int>(kind)),
-                         [n, kind] {
-                             return runTransaction(
-                                 static_cast<unsigned>(n),
-                                 static_cast<int>(kind));
-                         });
-        }
-    }
-    return true;
-}();
-
-void
-BM_BusOpsPerTransaction(benchmark::State &state)
-{
-    unsigned n = static_cast<unsigned>(state.range(0));
-    int kind = static_cast<int>(state.range(1));
-    const std::string label = pointLabel(n, kind);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["row_ops"] = m.at("row_ops");
-    state.counters["col_ops"] = m.at("col_ops");
-    state.counters["total_ops"] = m.at("total_ops");
-    state.counters["paper_total"] = m.at("paper_total");
-    BenchJson::instance().record("busops_table", label, m);
-}
-
 } // namespace
 
-BENCHMARK(BM_BusOpsPerTransaction)
-    ->ArgNames({"n", "kind"})
-    ->ArgsProduct({kSizes, kKinds})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMicrosecond);
-
-MCUBE_BENCH_MAIN();
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "busops_table");
+    for (unsigned n : {4u, 8u, 16u}) {
+        for (int kind : {0, 1, 2, 3, 4}) {
+            report.point("n" + std::to_string(n) + "_kind"
+                             + std::to_string(kind),
+                         {"row_ops", "col_ops", "total_ops",
+                          "paper_total"},
+                         [&] { return runTransaction(n, kind); });
+        }
+    }
+    return 0;
+}

@@ -19,8 +19,6 @@
  *                     resilience claim itself.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -40,15 +38,6 @@ using namespace mcube::bench;
 
 namespace
 {
-
-const std::vector<std::int64_t> kKinds = {0, 1, 2, 3};
-const std::vector<std::int64_t> kFaultPcts = {0, 1, 2, 5, 10};
-
-std::string
-pointLabel(int kind, int pct)
-{
-    return "kind" + std::to_string(kind) + "_p" + std::to_string(pct);
-}
 
 /**
  * The resilience trajectory is read out of the stat tree
@@ -350,78 +339,29 @@ runFailStopCampaign(const FailStopScenario &sc)
     return metrics;
 }
 
-const bool kFailStopsDeclared = [] {
-    for (const FailStopScenario &sc : kFailStops)
-        declarePoint(sc.label, [&sc] { return runFailStopCampaign(sc); });
-    return true;
-}();
-
-void
-BM_FailStopDegradation(benchmark::State &state)
-{
-    const FailStopScenario &sc =
-        kFailStops[static_cast<std::size_t>(state.range(0))];
-    const Metrics &m = sweepPoint(sc.label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.SetLabel(sc.label);
-    state.counters["availability"] = m.at("availability");
-    state.counters["time_to_detect_mean"] =
-        m.at("time_to_detect_mean");
-    state.counters["time_to_reconfigure_mean"] =
-        m.at("time_to_reconfigure_mean");
-    state.counters["data_loss_lines"] = m.at("data_loss_lines");
-    state.counters["completed"] = m.at("completed");
-    BenchJson::instance().record("fault_resilience", sc.label, m);
-}
-
-const bool kDeclared = [] {
-    for (std::int64_t kind : kKinds) {
-        for (std::int64_t pct : kFaultPcts) {
-            declarePoint(pointLabel(static_cast<int>(kind),
-                                    static_cast<int>(pct)),
-                         [kind, pct] {
-                             return runCampaign(
-                                 static_cast<int>(kind),
-                                 static_cast<int>(pct));
-                         });
-        }
-    }
-    return true;
-}();
-
-void
-BM_FaultResilience(benchmark::State &state)
-{
-    const int kind = static_cast<int>(state.range(0));
-    const int pct = static_cast<int>(state.range(1));
-    const std::string label = pointLabel(kind, pct);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["ops_per_ms"] = m.at("ops_per_ms");
-    state.counters["mean_miss_ns"] = m.at("mean_miss_ns");
-    state.counters["watchdog_reissues"] = m.at("watchdog_reissues");
-    state.counters["mem_bounces"] = m.at("mem_bounces");
-    state.counters["injections"] = m.at("injections");
-    state.counters["completed"] = m.at("completed");
-    BenchJson::instance().record("fault_resilience", label, m);
-}
-
 } // namespace
 
-BENCHMARK(BM_FaultResilience)
-    ->ArgNames({"kind_dreq0_drep1_delay2_dup3", "fault_pct"})
-    ->ArgsProduct({kKinds, kFaultPcts})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_FailStopDegradation)
-    ->ArgName("scenario")
-    ->DenseRange(0, static_cast<int>(kFailStops.size()) - 1)
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-MCUBE_BENCH_MAIN();
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "fault_resilience");
+    for (const FailStopScenario &sc : kFailStops) {
+        report.point(sc.label,
+                     {"availability", "time_to_detect_mean",
+                      "time_to_reconfigure_mean", "data_loss_lines",
+                      "completed"},
+                     [&] { return runFailStopCampaign(sc); });
+    }
+    // kind: 0 drop requests, 1 drop replies, 2 delays, 3 duplicates.
+    for (int kind : {0, 1, 2, 3}) {
+        for (int pct : {0, 1, 2, 5, 10}) {
+            report.point("kind" + std::to_string(kind) + "_p"
+                             + std::to_string(pct),
+                         {"ops_per_ms", "mean_miss_ns",
+                          "watchdog_reissues", "mem_bounces",
+                          "injections", "completed"},
+                         [&] { return runCampaign(kind, pct); });
+        }
+    }
+    return 0;
+}

@@ -8,15 +8,10 @@
  *
  * The primary series comes from the MVA model (as in the paper); the
  * event simulator cross-checks the smaller machines with the same
- * synthetic mix. Counters report the paper's y-axis (efficiency).
- * Simulation points are declared into the SweepCache and precomputed
- * across --jobs worker threads before the benchmarks run.
+ * synthetic mix. Rows report the paper's y-axis (efficiency).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 
@@ -26,84 +21,41 @@ using namespace mcube::bench;
 namespace
 {
 
-// Single source of truth for the simulated grid: the declaration loop
-// below and the BENCHMARK registration walk the same vectors.
-const std::vector<std::int64_t> kSimN = {8, 16};
-const std::vector<std::int64_t> kSimRates = {5, 15, 25, 40};
-
 std::string
-simLabel(unsigned n, int rate)
+label(const char *kind, unsigned n, int rate)
 {
-    return "sim_n" + std::to_string(n) + "_r" + std::to_string(rate);
-}
-
-const bool kDeclared = [] {
-    for (std::int64_t n : kSimN) {
-        for (std::int64_t rate : kSimRates) {
-            MixParams mix;
-            mix.requestsPerMs = static_cast<double>(rate);
-            declareMixSim(simLabel(static_cast<unsigned>(n),
-                                   static_cast<int>(rate)),
-                          static_cast<unsigned>(n), mix, 2.0);
-        }
-    }
-    return true;
-}();
-
-/** MVA series: one benchmark per (n, rate) grid point. */
-void
-BM_Fig2_Mva(benchmark::State &state)
-{
-    unsigned n = static_cast<unsigned>(state.range(0));
-    double rate = static_cast<double>(state.range(1));
-    MvaResult r{};
-    for (auto _ : state)
-        r = runMva(n, rate);
-    state.counters["efficiency"] = r.efficiency;
-    state.counters["row_util"] = r.rowUtilization;
-    state.counters["col_util"] = r.colUtilization;
-    state.counters["resp_ns"] = r.responseTimeNs;
-    BenchJson::instance().record(
-        "fig2_efficiency",
-        "mva_n" + std::to_string(n) + "_r"
-            + std::to_string(static_cast<int>(rate)),
-        {{"efficiency", r.efficiency},
-         {"row_util", r.rowUtilization},
-         {"col_util", r.colUtilization},
-         {"resp_ns", r.responseTimeNs}});
-}
-
-/** Simulation cross-check on machines small enough to simulate
- *  quickly (64 and 256 processors). */
-void
-BM_Fig2_Sim(benchmark::State &state)
-{
-    unsigned n = static_cast<unsigned>(state.range(0));
-    int rate = static_cast<int>(state.range(1));
-    const std::string label = simLabel(n, rate);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["row_util"] = m.at("row_util");
-    state.counters["col_util"] = m.at("col_util");
-    state.counters["txns"] = m.at("transactions");
-    BenchJson::instance().record("fig2_efficiency", label, m);
+    return std::string(kind) + "_n" + std::to_string(n) + "_r"
+         + std::to_string(rate);
 }
 
 } // namespace
 
-BENCHMARK(BM_Fig2_Mva)
-    ->ArgNames({"n", "req_per_ms"})
-    ->ArgsProduct({{8, 16, 24, 32}, {1, 5, 10, 15, 20, 25, 30, 40, 50}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "fig2_efficiency");
 
-BENCHMARK(BM_Fig2_Sim)
-    ->ArgNames({"n", "req_per_ms"})
-    ->ArgsProduct({kSimN, kSimRates})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+    for (unsigned n : {8u, 16u, 24u, 32u}) {
+        for (int rate : {1, 5, 10, 15, 20, 25, 30, 40, 50}) {
+            report.point(label("mva", n, rate),
+                         {"efficiency", "row_util", "col_util",
+                          "resp_ns"},
+                         [&] { return toMetrics(runMva(n, rate)); });
+        }
+    }
 
-MCUBE_BENCH_MAIN();
+    // Simulation cross-check on machines small enough to simulate
+    // quickly (64 and 256 processors).
+    std::uint64_t index = 0;
+    for (unsigned n : {8u, 16u}) {
+        for (int rate : {5, 15, 25, 40}) {
+            MixParams mix;
+            mix.requestsPerMs = rate;
+            report.point(label("sim", n, rate),
+                         {"efficiency", "row_util", "col_util",
+                          "transactions"},
+                         [&] { return mixPoint(index++, n, mix); });
+        }
+    }
+    return 0;
+}

@@ -10,10 +10,7 @@
  * small, growing as rates push the buses toward saturation.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 
@@ -23,81 +20,42 @@ using namespace mcube::bench;
 namespace
 {
 
-const std::vector<std::int64_t> kSimInvPct = {10, 30, 50};
-const std::vector<std::int64_t> kSimRates = {10, 25, 40};
-
 std::string
-simLabel(int inv_pct, int rate)
+label(const char *kind, int inv_pct, int rate)
 {
-    return "sim_inv" + std::to_string(inv_pct) + "_r"
+    return std::string(kind) + "_inv" + std::to_string(inv_pct) + "_r"
          + std::to_string(rate);
-}
-
-MvaParams
-withInvalidation(double inv)
-{
-    MvaParams p;
-    p.fracWriteUnmod = inv;
-    p.fracReadUnmod = 0.8 - inv;  // keep P(unmodified) = 0.8
-    return p;
-}
-
-const bool kDeclared = [] {
-    for (std::int64_t inv_pct : kSimInvPct) {
-        for (std::int64_t rate : kSimRates) {
-            MixParams mix;
-            mix.requestsPerMs = static_cast<double>(rate);
-            mix.fracWriteUnmod = static_cast<double>(inv_pct) / 100.0;
-            mix.fracReadUnmod = 0.8 - mix.fracWriteUnmod;
-            declareMixSim(simLabel(static_cast<int>(inv_pct),
-                                   static_cast<int>(rate)),
-                          8, mix, 2.0);
-        }
-    }
-    return true;
-}();
-
-void
-BM_Fig3_Mva(benchmark::State &state)
-{
-    double inv = static_cast<double>(state.range(0)) / 100.0;
-    double rate = static_cast<double>(state.range(1));
-    MvaParams p = withInvalidation(inv);
-    MvaResult r{};
-    for (auto _ : state)
-        r = runMva(32, rate, &p);
-    state.counters["efficiency"] = r.efficiency;
-    state.counters["row_util"] = r.rowUtilization;
-}
-
-void
-BM_Fig3_Sim(benchmark::State &state)
-{
-    int inv_pct = static_cast<int>(state.range(0));
-    int rate = static_cast<int>(state.range(1));
-    const std::string label = simLabel(inv_pct, rate);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["row_util"] = m.at("row_util");
-    BenchJson::instance().record("fig3_invalidation", label, m);
 }
 
 } // namespace
 
-BENCHMARK(BM_Fig3_Mva)
-    ->ArgNames({"inv_pct", "req_per_ms"})
-    ->ArgsProduct({{10, 20, 30, 40, 50},
-                   {1, 5, 10, 15, 20, 25, 30, 40, 50}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "fig3_invalidation");
 
-BENCHMARK(BM_Fig3_Sim)
-    ->ArgNames({"inv_pct", "req_per_ms"})
-    ->ArgsProduct({kSimInvPct, kSimRates})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+    for (int inv_pct : {10, 20, 30, 40, 50}) {
+        MvaParams p;
+        p.fracWriteUnmod = inv_pct / 100.0;
+        p.fracReadUnmod = 0.8 - p.fracWriteUnmod;  // P(unmodified) = 0.8
+        for (int rate : {1, 5, 10, 15, 20, 25, 30, 40, 50}) {
+            report.point(label("mva", inv_pct, rate),
+                         {"efficiency", "row_util"},
+                         [&] { return toMetrics(runMva(32, rate, &p)); });
+        }
+    }
 
-MCUBE_BENCH_MAIN();
+    std::uint64_t index = 0;
+    for (int inv_pct : {10, 30, 50}) {
+        for (int rate : {10, 25, 40}) {
+            MixParams mix;
+            mix.requestsPerMs = rate;
+            mix.fracWriteUnmod = inv_pct / 100.0;
+            mix.fracReadUnmod = 0.8 - mix.fracWriteUnmod;
+            report.point(label("sim", inv_pct, rate),
+                         {"efficiency", "row_util"},
+                         [&] { return mixPoint(index++, 8, mix); });
+        }
+    }
+    return 0;
+}

@@ -16,11 +16,8 @@
  * couplings on a 64-processor machine.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 
@@ -29,9 +26,6 @@ using namespace mcube::bench;
 
 namespace
 {
-
-const std::vector<std::int64_t> kSimCouplings = {0, 1, 2};
-const std::vector<std::int64_t> kSimBlocks = {4, 16, 64};
 
 double
 coupledRate(int coupling, unsigned block)
@@ -48,73 +42,49 @@ coupledRate(int coupling, unsigned block)
 }
 
 std::string
-simLabel(int coupling, unsigned block)
+label(const char *kind, int coupling, unsigned block)
 {
-    return "sim_c" + std::to_string(coupling) + "_b"
+    return std::string(kind) + "_c" + std::to_string(coupling) + "_b"
          + std::to_string(block);
-}
-
-const bool kDeclared = [] {
-    for (std::int64_t coupling : kSimCouplings) {
-        for (std::int64_t block : kSimBlocks) {
-            SystemParams sp;
-            sp.bus.blockWords = static_cast<unsigned>(block);
-            MixParams mix;
-            mix.requestsPerMs =
-                coupledRate(static_cast<int>(coupling),
-                            static_cast<unsigned>(block));
-            declareMixSim(simLabel(static_cast<int>(coupling),
-                                   static_cast<unsigned>(block)),
-                          8, mix, 2.0, &sp);
-        }
-    }
-    return true;
-}();
-
-void
-BM_Fig4_Mva(benchmark::State &state)
-{
-    int coupling = static_cast<int>(state.range(0));
-    unsigned block = static_cast<unsigned>(state.range(1));
-    MvaParams p;
-    p.blockWords = block;
-    p.requestsPerMs = coupledRate(coupling, block);
-    MvaResult r{};
-    for (auto _ : state)
-        r = runMva(32, p.requestsPerMs, &p);
-    state.counters["efficiency"] = r.efficiency;
-    state.counters["req_per_ms"] = p.requestsPerMs;
-    state.counters["resp_ns"] = r.responseTimeNs;
-}
-
-void
-BM_Fig4_Sim(benchmark::State &state)
-{
-    int coupling = static_cast<int>(state.range(0));
-    unsigned block = static_cast<unsigned>(state.range(1));
-    const std::string label = simLabel(coupling, block);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["req_per_ms"] = coupledRate(coupling, block);
-    state.counters["lat_ns"] = m.at("mean_latency_ns");
-    BenchJson::instance().record("fig4_blocksize", label, m);
 }
 
 } // namespace
 
-BENCHMARK(BM_Fig4_Mva)
-    ->ArgNames({"coupling", "block_words"})
-    ->ArgsProduct({{0, 1, 2}, {4, 8, 16, 32, 64}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "fig4_blocksize");
 
-BENCHMARK(BM_Fig4_Sim)
-    ->ArgNames({"coupling", "block_words"})
-    ->ArgsProduct({kSimCouplings, kSimBlocks})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+    for (int coupling : {0, 1, 2}) {
+        for (unsigned block : {4u, 8u, 16u, 32u, 64u}) {
+            MvaParams p;
+            p.blockWords = block;
+            const double rate = coupledRate(coupling, block);
+            report.point(label("mva", coupling, block),
+                         {"efficiency", "req_per_ms", "resp_ns"}, [&] {
+                             Metrics m = toMetrics(runMva(32, rate, &p));
+                             m["req_per_ms"] = rate;
+                             return m;
+                         });
+        }
+    }
 
-MCUBE_BENCH_MAIN();
+    std::uint64_t index = 0;
+    for (int coupling : {0, 1, 2}) {
+        for (unsigned block : {4u, 16u, 64u}) {
+            SystemParams sp;
+            sp.bus.blockWords = block;
+            MixParams mix;
+            mix.requestsPerMs = coupledRate(coupling, block);
+            report.point(label("sim", coupling, block),
+                         {"efficiency", "req_per_ms", "mean_latency_ns"},
+                         [&] {
+                             Metrics m =
+                                 mixPoint(index++, 8, mix, 2.0, sp);
+                             m["req_per_ms"] = mix.requestsPerMs;
+                             return m;
+                         });
+        }
+    }
+    return 0;
+}

@@ -12,139 +12,68 @@
  * occupancy for latency; the win matters most for large blocks.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench_util.hh"
 
 using namespace mcube;
 using namespace mcube::bench;
 
-namespace
+int
+main(int argc, char **argv)
 {
+    Reporter report(argc, argv, "latency_techniques");
 
-const std::vector<std::int64_t> kCutFlags = {0, 1};
-const std::vector<std::int64_t> kCutBlocks = {16, 64};
-// (piece_words, block_words) points of the pieces cross-check.
-const std::vector<std::pair<unsigned, unsigned>> kPiecePoints = {
-    {0, 64}, {4, 64}, {8, 64}};
-
-std::string
-cutLabel(bool cut, unsigned block)
-{
-    return std::string("sim_cut") + (cut ? "1" : "0") + "_b"
-         + std::to_string(block);
-}
-
-std::string
-pieceLabel(unsigned piece, unsigned block)
-{
-    return "sim_piece" + std::to_string(piece) + "_b"
-         + std::to_string(block);
-}
-
-const bool kDeclared = [] {
-    MixParams mix;
-    mix.requestsPerMs = 15.0;
-    for (std::int64_t cut : kCutFlags) {
-        for (std::int64_t block : kCutBlocks) {
-            SystemParams sp;
-            sp.bus.blockWords = static_cast<unsigned>(block);
-            sp.bus.cutThrough = cut != 0;
-            declareMixSim(cutLabel(cut != 0,
-                                   static_cast<unsigned>(block)),
-                          8, mix, 2.0, &sp);
+    // tech: 0 none, 1 requested-word-first, 2 cut-through, 3 both,
+    // 4 four-word pieces.
+    for (int tech : {0, 1, 2, 3, 4}) {
+        for (unsigned block : {8u, 16u, 32u, 64u}) {
+            MvaParams p;
+            p.blockWords = block;
+            if (tech == 4)
+                p.pieceWords = 4;
+            else
+                p.technique = static_cast<LatencyTechnique>(tech);
+            report.point("mva_tech" + std::to_string(tech) + "_b"
+                             + std::to_string(block),
+                         {"raw_latency_ns", "efficiency", "resp_ns"},
+                         [&] {
+                             MvaModel model(p);
+                             Metrics m = toMetrics(model.solve());
+                             m["raw_latency_ns"] = model.rawLatency();
+                             return m;
+                         });
         }
     }
-    for (auto [piece, block] : kPiecePoints) {
+
+    MixParams mix;
+    mix.requestsPerMs = 15.0;
+    std::uint64_t index = 0;
+    for (int cut : {0, 1}) {
+        for (unsigned block : {16u, 64u}) {
+            SystemParams sp;
+            sp.bus.blockWords = block;
+            sp.bus.cutThrough = cut != 0;
+            report.point("sim_cut" + std::to_string(cut) + "_b"
+                             + std::to_string(block),
+                         {"mean_latency_ns", "efficiency"},
+                         [&] { return mixPoint(index++, 8, mix, 2.0, sp); });
+        }
+    }
+
+    // Simulator counterpart of the "small fixed-size pieces"
+    // technique: pieces trade wire occupancy for requested-word-first
+    // delivery.
+    for (auto [piece, block] :
+         {std::pair{0u, 64u}, std::pair{4u, 64u}, std::pair{8u, 64u}}) {
         SystemParams sp;
         sp.bus.blockWords = block;
         sp.bus.pieceWords = piece;
-        declareMixSim(pieceLabel(piece, block), 8, mix, 2.0, &sp);
+        report.point("sim_piece" + std::to_string(piece) + "_b"
+                         + std::to_string(block),
+                     {"mean_latency_ns", "efficiency", "row_util"},
+                     [&] { return mixPoint(index++, 8, mix, 2.0, sp); });
     }
-    return true;
-}();
-
-void
-BM_Technique_Mva(benchmark::State &state)
-{
-    int tech = static_cast<int>(state.range(0));
-    unsigned block = static_cast<unsigned>(state.range(1));
-    MvaParams p;
-    p.blockWords = block;
-    if (tech == 4)
-        p.pieceWords = 4;
-    else
-        p.technique = static_cast<LatencyTechnique>(tech);
-
-    MvaResult r{};
-    double raw = 0.0;
-    for (auto _ : state) {
-        MvaModel m(p);
-        r = m.solve();
-        raw = m.rawLatency();
-    }
-    state.counters["raw_latency_ns"] = raw;
-    state.counters["efficiency"] = r.efficiency;
-    state.counters["resp_ns"] = r.responseTimeNs;
+    return 0;
 }
-
-void
-BM_CutThrough_Sim(benchmark::State &state)
-{
-    bool cut = state.range(0) != 0;
-    unsigned block = static_cast<unsigned>(state.range(1));
-    const std::string label = cutLabel(cut, block);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["mean_latency_ns"] = m.at("mean_latency_ns");
-    state.counters["efficiency"] = m.at("efficiency");
-    BenchJson::instance().record("latency_techniques", label, m);
-}
-
-/** Simulator counterpart of the "small fixed-size pieces" technique:
- *  pieces trade wire occupancy for requested-word-first delivery. */
-void
-BM_Pieces_Sim(benchmark::State &state)
-{
-    unsigned piece = static_cast<unsigned>(state.range(0));
-    unsigned block = static_cast<unsigned>(state.range(1));
-    const std::string label = pieceLabel(piece, block);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["mean_latency_ns"] = m.at("mean_latency_ns");
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["row_util"] = m.at("row_util");
-    BenchJson::instance().record("latency_techniques", label, m);
-}
-
-} // namespace
-
-BENCHMARK(BM_Technique_Mva)
-    ->ArgNames({"tech_none0_rwf1_cut2_both3_pieces4", "block_words"})
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {8, 16, 32, 64}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
-BENCHMARK(BM_CutThrough_Sim)
-    ->ArgNames({"cut_through", "block_words"})
-    ->ArgsProduct({kCutFlags, kCutBlocks})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_Pieces_Sim)
-    ->ArgNames({"piece_words", "block_words"})
-    ->Args({0, 64})
-    ->Args({4, 64})
-    ->Args({8, 64})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-MCUBE_BENCH_MAIN();

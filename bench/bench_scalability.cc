@@ -12,9 +12,9 @@
  *     the request rate scales.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "bench_util.hh"
 #include "mva/mva_multik.hh"
@@ -26,120 +26,90 @@ using namespace mcube::bench;
 namespace
 {
 
-void
-BM_TopologyScaling(benchmark::State &state)
+std::string
+label(const char *kind, unsigned n, unsigned k)
 {
-    unsigned n = static_cast<unsigned>(state.range(0));
-    unsigned k = static_cast<unsigned>(state.range(1));
-    MulticubeTopology t(n, k);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(t.invalidationBusOps());
-    state.counters["processors"] =
-        static_cast<double>(t.numProcessors());
-    state.counters["buses"] = static_cast<double>(t.numBuses());
-    state.counters["bw_per_proc"] = t.bandwidthPerProcessor();
-    state.counters["inval_ops"] =
-        static_cast<double>(t.invalidationBusOps());
-    state.counters["max_hops"] =
-        static_cast<double>(t.maxRequestHops());
+    return std::string(kind) + "_n" + std::to_string(n) + "_k"
+         + std::to_string(k);
 }
 
-/** Ways of building ~1K processors: n=32,k=2 (the Wisconsin
- *  Multicube), n=10,k=3, n=6,k=4, n=2,k=10 (hypercube). */
-void
-BM_WaysToBuild1K(benchmark::State &state)
+Metrics
+topologyMetrics(unsigned n, unsigned k)
 {
-    unsigned n = static_cast<unsigned>(state.range(0));
-    unsigned k = static_cast<unsigned>(state.range(1));
     MulticubeTopology t(n, k);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(t.numBuses());
-    state.counters["processors"] =
-        static_cast<double>(t.numProcessors());
-    state.counters["buses"] = static_cast<double>(t.numBuses());
-    state.counters["buses_per_proc"] =
-        static_cast<double>(t.busesPerProcessor());
-    state.counters["bw_per_proc"] = t.bandwidthPerProcessor();
-    state.counters["inval_ops"] =
-        static_cast<double>(t.invalidationBusOps());
+    return {
+        {"processors", static_cast<double>(t.numProcessors())},
+        {"buses", static_cast<double>(t.numBuses())},
+        {"buses_per_proc", static_cast<double>(t.busesPerProcessor())},
+        {"bw_per_proc", t.bandwidthPerProcessor()},
+        {"inval_ops", static_cast<double>(t.invalidationBusOps())},
+        {"max_hops", static_cast<double>(t.maxRequestHops())}};
 }
 
-/** General-k MVA at the design-point rate: how the ~4K-processor
- *  budget behaves across dimensional builds (Section 6 trade-off). */
-void
-BM_MultiK_Mva(benchmark::State &state)
+/** General-k MVA at the design-point rate of 25 requests/ms. */
+Metrics
+multiKMetrics(unsigned n, unsigned k)
 {
-    unsigned n = static_cast<unsigned>(state.range(0));
-    unsigned k = static_cast<unsigned>(state.range(1));
     MultiKParams p;
     p.n = n;
     p.k = k;
     p.requestsPerMs = 25.0;
-    MultiKResult r{};
-    double raw = 0.0;
-    for (auto _ : state) {
-        MultiKMvaModel m(p);
-        r = m.solve();
-        raw = m.rawLatency();
-    }
-    state.counters["processors"] =
-        std::pow(static_cast<double>(n), k);
-    state.counters["efficiency"] = r.efficiency;
-    state.counters["bus_util"] = r.busUtilization;
-    state.counters["raw_latency_ns"] = raw;
-    state.counters["inval_ops"] = MultiKMvaModel(p).invalidationOps();
-}
-
-/** Efficiency of the 2-D machine as n scales at the design-point
- *  request rate (MVA). */
-void
-BM_Efficiency_vs_N(benchmark::State &state)
-{
-    unsigned n = static_cast<unsigned>(state.range(0));
-    MvaResult r{};
-    for (auto _ : state)
-        r = runMva(n, 25.0);
-    state.counters["processors"] = static_cast<double>(n) * n;
-    state.counters["efficiency"] = r.efficiency;
-    BenchJson::instance().record(
-        "scalability", "mva_n" + std::to_string(n),
-        {{"processors", static_cast<double>(n) * n},
-         {"efficiency", r.efficiency},
-         {"row_util", r.rowUtilization},
-         {"col_util", r.colUtilization},
-         {"resp_ns", r.responseTimeNs}});
+    MultiKMvaModel m(p);
+    const MultiKResult r = m.solve();
+    return {{"processors", std::pow(static_cast<double>(n), k)},
+            {"efficiency", r.efficiency},
+            {"bus_util", r.busUtilization},
+            {"raw_latency_ns", m.rawLatency()},
+            {"inval_ops", m.invalidationOps()}};
 }
 
 } // namespace
 
-BENCHMARK(BM_TopologyScaling)
-    ->ArgNames({"n", "k"})
-    ->ArgsProduct({{2, 4, 8, 16, 32}, {1, 2, 3}})
-    ->Iterations(1);
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "scalability");
 
-BENCHMARK(BM_WaysToBuild1K)
-    ->ArgNames({"n", "k"})
-    ->Args({32, 2})
-    ->Args({10, 3})
-    ->Args({6, 4})
-    ->Args({4, 5})
-    ->Args({2, 10})
-    ->Iterations(1);
+    for (unsigned n : {2u, 4u, 8u, 16u, 32u}) {
+        for (unsigned k : {1u, 2u, 3u}) {
+            report.point(label("topo", n, k),
+                         {"processors", "buses", "bw_per_proc",
+                          "inval_ops", "max_hops"},
+                         [&] { return topologyMetrics(n, k); });
+        }
+    }
 
-BENCHMARK(BM_MultiK_Mva)
-    ->ArgNames({"n", "k"})
-    ->Args({64, 2})
-    ->Args({16, 3})
-    ->Args({8, 4})
-    ->Args({4, 6})
-    ->Args({2, 12})
-    ->Iterations(1);
+    // Ways of building ~1K processors: n=32,k=2 (the Wisconsin
+    // Multicube), n=10,k=3, n=6,k=4, n=4,k=5, n=2,k=10 (hypercube).
+    for (auto [n, k] : {std::pair{32u, 2u}, std::pair{10u, 3u},
+                        std::pair{6u, 4u}, std::pair{4u, 5u},
+                        std::pair{2u, 10u}}) {
+        report.point(label("build1k", n, k),
+                     {"processors", "buses", "buses_per_proc",
+                      "bw_per_proc", "inval_ops"},
+                     [n = n, k = k] { return topologyMetrics(n, k); });
+    }
 
-BENCHMARK(BM_Efficiency_vs_N)
-    ->ArgNames({"n"})
-    ->DenseRange(8, 40, 8)
-    ->Iterations(1);
+    // How the ~4K-processor budget behaves across dimensional builds
+    // (Section 6 trade-off).
+    for (auto [n, k] : {std::pair{64u, 2u}, std::pair{16u, 3u},
+                        std::pair{8u, 4u}, std::pair{4u, 6u},
+                        std::pair{2u, 12u}}) {
+        report.point(label("multik", n, k),
+                     {"processors", "efficiency", "bus_util",
+                      "raw_latency_ns", "inval_ops"},
+                     [n = n, k = k] { return multiKMetrics(n, k); });
+    }
 
-// No simulation points here (everything is closed-form MVA/topology),
-// but use the shared entry point so --jobs is accepted uniformly.
-MCUBE_BENCH_MAIN();
+    // Efficiency of the 2-D machine as n scales at the design-point
+    // request rate (MVA).
+    for (unsigned n : {8u, 16u, 24u, 32u, 40u}) {
+        report.point("mva_n" + std::to_string(n),
+                     {"processors", "efficiency"}, [&] {
+                         Metrics m = toMetrics(runMva(n, 25.0));
+                         m["processors"] = static_cast<double>(n) * n;
+                         return m;
+                     });
+    }
+    return 0;
+}

@@ -1,11 +1,11 @@
 /**
  * @file
  * Snoop fast-reject filter A-B bench: the same MixWorkload run, per
- * machine size, with the filter enabled and disabled. Each pair
- * shares its seed-derivation index, so the two runs are required to
- * be bit-identical in simulated results — this bench hard-fails on
- * any divergence in the determinism columns, which would mean a
- * reject skipped an observable snoop.
+ * machine size, with the filter enabled and disabled. Both arms use
+ * the same seed index, so the two runs are required to be
+ * bit-identical in simulated results — this bench hard-fails on any
+ * divergence in the determinism columns, which would mean a reject
+ * skipped an observable snoop.
  *
  * Reported per size:
  *
@@ -15,12 +15,9 @@
  *   filter_reject_fraction   share of snoop decisions fast-rejected.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 
@@ -30,53 +27,20 @@ using namespace mcube::bench;
 namespace
 {
 
-const std::vector<std::int64_t> kSizes = {8, 16, 32};
-constexpr double kRate = 25.0;
-
-std::string
-onLabel(unsigned n)
-{
-    return "filter_on_n" + std::to_string(n);
-}
-
-std::string
-offLabel(unsigned n)
-{
-    return "filter_off_n" + std::to_string(n);
-}
-
-double
-simMsFor(std::int64_t n)
-{
-    return n >= 32 ? 0.5 : (n >= 16 ? 2.0 : 8.0);
-}
-
-const bool kDeclared = [] {
-    for (std::int64_t n : kSizes) {
-        MixParams mix;
-        mix.requestsPerMs = kRate;
-        const std::uint64_t idx = SweepCache::instance().size();
-        declareMixSim(onLabel(static_cast<unsigned>(n)),
-                      static_cast<unsigned>(n), mix, simMsFor(n));
-        SystemParams off;
-        off.ctrl.snoopFilter = false;
-        declareMixSim(offLabel(static_cast<unsigned>(n)),
-                      static_cast<unsigned>(n), mix, simMsFor(n), &off,
-                      idx);
-    }
-    return true;
-}();
-
 /** Exact-match columns: the filter may only change wall clock. */
 const char *const kDeterminismKeys[] = {"sim_events", "sim_ticks",
                                         "transactions", "efficiency"};
 
-void
-BM_SnoopFilterAB(benchmark::State &state)
+Metrics
+runFilterAB(std::uint64_t index, unsigned n)
 {
-    unsigned n = static_cast<unsigned>(state.range(0));
-    const Metrics &on = sweepPoint(onLabel(n));
-    const Metrics &off = sweepPoint(offLabel(n));
+    MixParams mix;
+    mix.requestsPerMs = 25.0;
+    const double sim_ms = n >= 32 ? 0.5 : (n >= 16 ? 2.0 : 8.0);
+    const Metrics on = mixPoint(index, n, mix, sim_ms);
+    SystemParams off_params;
+    off_params.ctrl.snoopFilter = false;
+    const Metrics off = mixPoint(index, n, mix, sim_ms, off_params);
 
     for (const char *key : kDeterminismKeys) {
         if (on.at(key) != off.at(key)) {
@@ -91,9 +55,6 @@ BM_SnoopFilterAB(benchmark::State &state)
 
     const double wall_on = on.at("wall_seconds");
     const double wall_off = off.at("wall_seconds");
-    for (auto _ : state)
-        state.SetIterationTime(wall_on);
-
     double eps_on = wall_on > 0 ? on.at("sim_events") / wall_on : 0.0;
     double eps_off =
         wall_off > 0 ? off.at("sim_events") / wall_off : 0.0;
@@ -121,20 +82,25 @@ BM_SnoopFilterAB(benchmark::State &state)
     out["filter_speedup"] = eps_off > 0 ? eps_on / eps_off : 0.0;
     out["filter_reject_fraction"] =
         hits + rejects > 0 ? rejects / (hits + rejects) : 0.0;
-
-    for (const auto &[name, value] : out)
-        state.counters[name] = value;
-    BenchJson::instance().record("snoopfilter",
-                                 "n" + std::to_string(n), out);
+    return out;
 }
 
 } // namespace
 
-BENCHMARK(BM_SnoopFilterAB)
-    ->ArgNames({"n"})
-    ->ArgsProduct({kSizes})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-MCUBE_BENCH_MAIN();
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "snoopfilter");
+    // The seed numbering counts both arms of a size (the off arm
+    // reuses the on arm's index), so size i runs at index 2i and its
+    // recorded numbers stay comparable across BENCH files.
+    std::uint64_t index = 0;
+    for (unsigned n : {8u, 16u, 32u}) {
+        report.point("n" + std::to_string(n),
+                     {"efficiency", "filter_reject_fraction",
+                      "filter_speedup"},
+                     [&] { return runFilterAB(index, n); });
+        index += 2;
+    }
+    return 0;
+}

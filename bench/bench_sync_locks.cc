@@ -16,8 +16,6 @@
  * traffic to a very low level" and (usually) grants FIFO order.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -35,16 +33,7 @@ using namespace mcube::prog;
 namespace
 {
 
-const std::vector<std::int64_t> kKinds = {0, 1, 2};
-const std::vector<std::int64_t> kWorkers = {2, 4, 8, 16};
 constexpr unsigned kIters = 8;
-
-std::string
-pointLabel(int kind_idx, unsigned workers)
-{
-    return "kind" + std::to_string(kind_idx) + "_w"
-         + std::to_string(workers);
-}
 
 Metrics
 runLockBench(int kind_idx, unsigned workers)
@@ -107,45 +96,20 @@ runLockBench(int kind_idx, unsigned workers)
                  : 0.0}};
 }
 
-const bool kDeclared = [] {
-    for (std::int64_t kind : kKinds) {
-        for (std::int64_t workers : kWorkers) {
-            declarePoint(pointLabel(static_cast<int>(kind),
-                                    static_cast<unsigned>(workers)),
-                         [kind, workers] {
-                             return runLockBench(
-                                 static_cast<int>(kind),
-                                 static_cast<unsigned>(workers));
-                         });
-        }
-    }
-    return true;
-}();
-
-void
-BM_LockDiscipline(benchmark::State &state)
-{
-    int kind_idx = static_cast<int>(state.range(0));
-    unsigned workers = static_cast<unsigned>(state.range(1));
-    const std::string label = pointLabel(kind_idx, workers);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["bus_ops_per_handoff"] =
-        m.at("bus_ops_per_handoff");
-    state.counters["ns_per_handoff"] = m.at("ns_per_handoff");
-    state.counters["total_bus_ops"] = m.at("total_bus_ops");
-    state.counters["count_ok"] = m.at("count_ok");
-    BenchJson::instance().record("sync_locks", label, m);
-}
-
 } // namespace
 
-BENCHMARK(BM_LockDiscipline)
-    ->ArgNames({"kind_tts0_tset1_sync2", "workers"})
-    ->ArgsProduct({kKinds, kWorkers})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-MCUBE_BENCH_MAIN();
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "sync_locks");
+    for (int kind : {0, 1, 2}) {
+        for (unsigned workers : {2u, 4u, 8u, 16u}) {
+            report.point("kind" + std::to_string(kind) + "_w"
+                             + std::to_string(workers),
+                         {"bus_ops_per_handoff", "ns_per_handoff",
+                          "total_bus_ops", "count_ok"},
+                         [&] { return runLockBench(kind, workers); });
+        }
+    }
+    return 0;
+}

@@ -8,10 +8,7 @@
  * holds its efficiency (the crossover).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
-#include <vector>
 
 #include "baseline/dancehall.hh"
 #include "baseline/multi_workload.hh"
@@ -25,31 +22,6 @@ namespace
 {
 
 constexpr double kRate = 25.0;
-
-const std::vector<std::int64_t> kMultiProcs = {4, 9, 16, 25, 36, 64,
-                                               100};
-const std::vector<std::int64_t> kDancehallProcs = {64, 256, 1024};
-const std::vector<std::int64_t> kDancehallRates = {25, 100, 300, 600};
-const std::vector<std::int64_t> kMulticubeN = {2, 3, 4, 5, 6, 8, 10};
-
-std::string
-multiLabel(unsigned procs)
-{
-    return "multi_p" + std::to_string(procs);
-}
-
-std::string
-dancehallLabel(unsigned procs, int ref_rate)
-{
-    return "dancehall_p" + std::to_string(procs) + "_r"
-         + std::to_string(ref_rate);
-}
-
-std::string
-multicubeLabel(unsigned n)
-{
-    return "multicube_n" + std::to_string(n);
-}
 
 Metrics
 runSingleBusMulti(unsigned procs)
@@ -71,6 +43,16 @@ runSingleBusMulti(unsigned procs)
              static_cast<double>(sys.bus().opsDelivered())}};
 }
 
+/**
+ * The other Section 1 foil: a multistage-network dance hall with no
+ * caching of shared data — every shared *reference* pays the full
+ * network round trip. The fair axis is therefore the shared-reference
+ * rate: the Multicube turns most shared references into cache hits
+ * (its 25 bus-requests/ms budget corresponds to reference rates in
+ * the hundreds per ms — see examples/address_stream), while the dance
+ * hall's network sees the raw reference rate and collapses as it
+ * approaches the round-trip reciprocal.
+ */
 Metrics
 runDancehall(unsigned procs, double ref_rate)
 {
@@ -92,112 +74,44 @@ runDancehall(unsigned procs, double ref_rate)
             {"unloaded_latency_ns", static_cast<double>(latency)}};
 }
 
-const bool kDeclared = [] {
-    for (std::int64_t procs : kMultiProcs) {
-        declarePoint(multiLabel(static_cast<unsigned>(procs)),
-                     [procs] {
-                         return runSingleBusMulti(
-                             static_cast<unsigned>(procs));
-                     });
-    }
-    for (std::int64_t procs : kDancehallProcs) {
-        for (std::int64_t rate : kDancehallRates) {
-            declarePoint(
-                dancehallLabel(static_cast<unsigned>(procs),
-                               static_cast<int>(rate)),
-                [procs, rate] {
-                    return runDancehall(static_cast<unsigned>(procs),
-                                        static_cast<double>(rate));
-                });
-        }
-    }
-    for (std::int64_t n : kMulticubeN) {
-        MixParams mix;
-        mix.requestsPerMs = kRate;
-        declareMixSim(multicubeLabel(static_cast<unsigned>(n)),
-                      static_cast<unsigned>(n), mix, 2.0);
-    }
-    return true;
-}();
-
-void
-BM_SingleBusMulti(benchmark::State &state)
-{
-    unsigned procs = static_cast<unsigned>(state.range(0));
-    const std::string label = multiLabel(procs);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["processors"] = m.at("processors");
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["bus_util"] = m.at("bus_util");
-    state.counters["bus_ops"] = m.at("bus_ops");
-    BenchJson::instance().record("vs_single_bus", label, m);
-}
-
-/**
- * The other Section 1 foil: a multistage-network dance hall with no
- * caching of shared data — every shared *reference* pays the full
- * network round trip. The fair axis is therefore the shared-reference
- * rate: the Multicube turns most shared references into cache hits
- * (its 25 bus-requests/ms budget corresponds to reference rates in
- * the hundreds per ms — see examples/address_stream), while the dance
- * hall's network sees the raw reference rate and collapses as it
- * approaches the round-trip reciprocal.
- */
-void
-BM_Dancehall(benchmark::State &state)
-{
-    unsigned procs = static_cast<unsigned>(state.range(0));
-    int ref_rate = static_cast<int>(state.range(1));
-    const std::string label = dancehallLabel(procs, ref_rate);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["processors"] = m.at("processors");
-    state.counters["shared_refs_per_ms"] = m.at("shared_refs_per_ms");
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["bank_util"] = m.at("bank_util");
-    state.counters["unloaded_latency_ns"] =
-        m.at("unloaded_latency_ns");
-    BenchJson::instance().record("vs_single_bus", label, m);
-}
-
-void
-BM_Multicube(benchmark::State &state)
-{
-    unsigned n = static_cast<unsigned>(state.range(0));
-    const std::string label = multicubeLabel(n);
-    const Metrics &m = sweepPoint(label);
-    for (auto _ : state)
-        state.SetIterationTime(m.at("wall_seconds"));
-    state.counters["processors"] = static_cast<double>(n) * n;
-    state.counters["efficiency"] = m.at("efficiency");
-    state.counters["row_util"] = m.at("row_util");
-    BenchJson::instance().record("vs_single_bus", label, m);
-}
-
 } // namespace
 
-BENCHMARK(BM_SingleBusMulti)
-    ->ArgNames({"processors"})
-    ->ArgsProduct({kMultiProcs})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+int
+main(int argc, char **argv)
+{
+    Reporter report(argc, argv, "vs_single_bus");
 
-BENCHMARK(BM_Dancehall)
-    ->ArgNames({"processors", "shared_refs_per_ms"})
-    ->ArgsProduct({kDancehallProcs, kDancehallRates})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+    for (unsigned procs : {4u, 9u, 16u, 25u, 36u, 64u, 100u}) {
+        report.point("multi_p" + std::to_string(procs),
+                     {"processors", "efficiency", "bus_util", "bus_ops"},
+                     [&] { return runSingleBusMulti(procs); });
+    }
 
-BENCHMARK(BM_Multicube)
-    ->ArgNames({"n"})
-    ->ArgsProduct({kMulticubeN})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
+    for (unsigned procs : {64u, 256u, 1024u}) {
+        for (int rate : {25, 100, 300, 600}) {
+            report.point("dancehall_p" + std::to_string(procs) + "_r"
+                             + std::to_string(rate),
+                         {"processors", "shared_refs_per_ms",
+                          "efficiency", "bank_util",
+                          "unloaded_latency_ns"},
+                         [&] { return runDancehall(procs, rate); });
+        }
+    }
 
-MCUBE_BENCH_MAIN();
+    // Seed indices number every point of this program in order, the
+    // 7 multi and 12 dance-hall points included, so each multicube
+    // point's stream, and its recorded numbers, stay comparable across
+    // BENCH files.
+    std::uint64_t index = 19;
+    for (unsigned n : {2u, 3u, 4u, 5u, 6u, 8u, 10u}) {
+        MixParams mix;
+        mix.requestsPerMs = kRate;
+        report.point("multicube_n" + std::to_string(n),
+                     {"processors", "efficiency", "row_util"}, [&] {
+                         Metrics m = mixPoint(index++, n, mix);
+                         m["processors"] = static_cast<double>(n) * n;
+                         return m;
+                     });
+    }
+    return 0;
+}

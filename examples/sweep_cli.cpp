@@ -10,6 +10,10 @@
  * Columns: mode,n,req_per_ms,block_words,efficiency,row_util,
  * col_util,resp_ns
  *
+ * A malformed or out-of-range number (rates must be > 0, --ms > 0,
+ * --inv in [0, 0.8], --fault-drop in [0, 1]) exits 2 with one stderr
+ * line naming the flag.
+ *
  * Parallelism:
  *   --jobs=N               run simulation points on N worker threads
  *                          (0 = all hardware threads; default 1).
@@ -102,13 +106,17 @@
  */
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -168,16 +176,56 @@ struct Options
     std::uint64_t rssMb = 0;
 };
 
-std::vector<double>
-parseList(const std::string &s)
+/** Parse all of @p s as a finite number. */
+bool
+parseNumber(const std::string &s, double &out)
 {
-    std::vector<double> out;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(s.c_str(), &end);
+    return !s.empty() && *end == '\0' && errno == 0 && std::isfinite(out);
+}
+
+/** Parse all of @p s as an unsigned decimal integer that fits @p T. */
+template <class T>
+bool
+parseNumber(const std::string &s, T &out)
+{
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (*end != '\0' || errno != 0 || v > std::numeric_limits<T>::max())
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
+
+/** Parse a comma-separated list of numbers (empty items skipped). */
+bool
+parseList(const std::string &s, std::vector<double> &out)
+{
+    out.clear();
     std::istringstream iss(s);
     std::string tok;
-    while (std::getline(iss, tok, ','))
-        if (!tok.empty())
-            out.push_back(std::atof(tok.c_str()));
-    return out;
+    while (std::getline(iss, tok, ',')) {
+        if (tok.empty())
+            continue;
+        double v = 0.0;
+        if (!parseNumber(tok, v))
+            return false;
+        out.push_back(v);
+    }
+    return true;
+}
+
+/** Print "sweep_cli: <msg>" as the one line of a usage error. */
+bool
+usageError(const std::string &msg)
+{
+    std::cerr << "sweep_cli: " << msg << "\n";
+    return false;
 }
 
 bool
@@ -185,10 +233,8 @@ parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a.rfind("--", 0) != 0) {
-            std::cerr << "bad argument: " << a << "\n";
-            return false;
-        }
+        if (a.rfind("--", 0) != 0)
+            return usageError("bad argument: " + a);
         auto eq = a.find('=');
         // `--resume` and `--resume=1` are equivalent: a bare flag
         // means "on".
@@ -197,34 +243,35 @@ parseArgs(int argc, char **argv, Options &opt)
                               : a.substr(2, eq - 2);
         std::string val =
             eq == std::string::npos ? "1" : a.substr(eq + 1);
+        bool ok = true;
         if (key == "mode")
             opt.mode = val;
         else if (key == "n")
-            opt.n = std::atoi(val.c_str());
+            ok = parseNumber(val, opt.n);
         else if (key == "rates")
-            opt.rates = parseList(val);
+            ok = parseList(val, opt.rates);
         else if (key == "block")
-            opt.block = std::atoi(val.c_str());
+            ok = parseNumber(val, opt.block);
         else if (key == "ms")
-            opt.simMs = std::atof(val.c_str());
+            ok = parseNumber(val, opt.simMs);
         else if (key == "inv")
-            opt.invFrac = std::atof(val.c_str());
+            ok = parseNumber(val, opt.invFrac);
         else if (key == "jobs")
-            opt.jobs = std::atoi(val.c_str());
+            ok = parseNumber(val, opt.jobs);
         else if (key == "sim-threads")
-            opt.simThreads = std::atoi(val.c_str());
+            ok = parseNumber(val, opt.simThreads);
         else if (key == "par-stats-out")
             opt.parStatsOut = val;
         else if (key == "trace-out")
             opt.traceOut = val;
         else if (key == "trace-cap")
-            opt.traceCap = std::atoll(val.c_str());
+            ok = parseNumber(val, opt.traceCap);
         else if (key == "metrics-out")
             opt.metricsOut = val;
         else if (key == "metrics-period")
-            opt.metricsPeriod = std::atoll(val.c_str());
+            ok = parseNumber(val, opt.metricsPeriod);
         else if (key == "fault-drop")
-            opt.faultDrop = std::atof(val.c_str());
+            ok = parseNumber(val, opt.faultDrop);
         else if (key == "fault-plan")
             opt.faultPlanPath = val;
         else if (key == "profile-out")
@@ -232,7 +279,7 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (key == "progress")
             opt.progress = val != "0";
         else if (key == "seed")
-            opt.seed = std::strtoull(val.c_str(), nullptr, 10);
+            ok = parseNumber(val, opt.seed);
         else if (key == "journal")
             opt.journal = val;
         else if (key == "resume")
@@ -240,25 +287,37 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (key == "isolate")
             opt.isolate = val != "0";
         else if (key == "deadline-s")
-            opt.deadlineS = std::atof(val.c_str());
+            ok = parseNumber(val, opt.deadlineS);
         else if (key == "heartbeat-s")
-            opt.heartbeatS = std::atof(val.c_str());
+            ok = parseNumber(val, opt.heartbeatS);
         else if (key == "rss-mb")
-            opt.rssMb = std::strtoull(val.c_str(), nullptr, 10);
-        else {
-            std::cerr << "unknown option: --" << key << "\n";
-            return false;
-        }
+            ok = parseNumber(val, opt.rssMb);
+        else
+            return usageError("unknown option: --" + key);
+        if (!ok)
+            return usageError("--" + key + ": '" + val
+                              + "' is not a valid number");
     }
-    if (opt.mode != "mva" && opt.mode != "sim" && opt.mode != "both") {
-        std::cerr << "--mode must be mva, sim or both\n";
-        return false;
-    }
-    if (opt.n < 2 || opt.rates.empty() || opt.block == 0
-        || opt.metricsPeriod == 0) {
-        std::cerr << "invalid parameters\n";
-        return false;
-    }
+    if (opt.mode != "mva" && opt.mode != "sim" && opt.mode != "both")
+        return usageError("--mode must be mva, sim or both");
+    if (opt.n < 2)
+        return usageError("--n must be >= 2");
+    if (opt.rates.empty())
+        return usageError("--rates must list at least one rate");
+    for (double r : opt.rates)
+        if (r <= 0)
+            return usageError("--rates must all be > 0");
+    if (opt.block == 0)
+        return usageError("--block must be > 0");
+    // The run length is cast to a 64-bit tick count (1 tick = 1 ns).
+    if (opt.simMs <= 0 || opt.simMs >= 1e13)
+        return usageError("--ms must be > 0 and < 1e13");
+    if (opt.invFrac < 0 || opt.invFrac > 0.8)
+        return usageError("--inv must be in [0, 0.8]");
+    if (opt.faultDrop < 0 || opt.faultDrop > 1)
+        return usageError("--fault-drop must be in [0, 1]");
+    if (opt.metricsPeriod == 0)
+        return usageError("--metrics-period must be > 0");
     return true;
 }
 

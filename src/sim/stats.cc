@@ -114,48 +114,6 @@ StatGroup::dump(std::ostream &os, int indent) const
 }
 
 void
-StatGroup::dumpJson(std::ostream &os, int indent) const
-{
-    std::string pad(indent * 2, ' ');
-    std::string pad2((indent + 1) * 2, ' ');
-    os << pad << "\"" << _name << "\": {";
-    const char *sep = "\n";
-    for (const auto &e : counters) {
-        os << sep << pad2 << "\"" << e.name
-           << "\": " << e.counter->value();
-        sep = ",\n";
-    }
-    for (const auto &e : dists) {
-        os << sep << pad2 << "\"" << e.name << "\": {\"count\": "
-           << e.dist->count() << ", \"mean\": " << e.dist->mean()
-           << ", \"min\": " << e.dist->min()
-           << ", \"max\": " << e.dist->max()
-           << ", \"variance\": " << e.dist->variance()
-           << ", \"stddev\": " << e.dist->stddev() << "}";
-        sep = ",\n";
-    }
-    for (const auto &e : hists) {
-        os << sep << pad2 << "\"" << e.name << "\": {\"count\": "
-           << e.hist->count() << ", \"mean\": " << e.hist->mean()
-           << ", \"min\": " << e.hist->min()
-           << ", \"max\": " << e.hist->max()
-           << ", \"p50\": " << e.hist->p50()
-           << ", \"p95\": " << e.hist->p95()
-           << ", \"p99\": " << e.hist->p99()
-           << ", \"p99.9\": " << e.hist->p999() << "}";
-        sep = ",\n";
-    }
-    for (const auto *c : children) {
-        os << sep;
-        c->dumpJson(os, indent + 1);
-        sep = ",\n";
-    }
-    os << "\n" << pad << "}";
-    if (indent == 0)
-        os << "\n";
-}
-
-void
 StatGroup::flatten(std::map<std::string, double> &out,
                    const std::string &prefix) const
 {

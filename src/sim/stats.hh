@@ -187,7 +187,7 @@ class Histogram
      * statistic — mean, min, max and all percentiles — reports 0.0,
      * never NaN and never a division by zero. A single sample is
      * reported exactly at every percentile (interpolation is clamped
-     * to [min, max]). This keeps dump/dumpJson/flatten output finite
+     * to [min, max]). This keeps dump/flatten output finite
      * unconditionally; NaN is not valid JSON, and BENCH_*.json is
      * machine-parsed.
      */
@@ -271,11 +271,6 @@ class StatGroup
 
     /** Write an indented human-readable report. */
     void dump(std::ostream &os, int indent = 0) const;
-
-    /** Write the whole tree as a JSON object (counters as integers,
-     *  distributions as {count, mean, min, max, variance, stddev},
-     *  histograms additionally carrying p50/p95/p99/p99.9). */
-    void dumpJson(std::ostream &os, int indent = 0) const;
 
     /**
      * Flatten every counter, distribution and histogram into

@@ -1,8 +1,8 @@
 #include "trace/metrics_sampler.hh"
 
 #include <cassert>
-#include <map>
-#include <string>
+
+#include "sim/json.hh"
 
 namespace mcube
 {
@@ -46,13 +46,13 @@ MetricsSampler::stop()
 void
 MetricsSampler::sampleNow()
 {
-    EventQueue &eq = sys.eventQueue();
     const unsigned n = sys.n();
-    Tick now = eq.now();
+    Tick now = sys.eventQueue().now();
     Tick interval = now > lastTick ? now - lastTick : 1;
 
     double row_util = 0.0, col_util = 0.0;
-    os << "{\"tick\":" << now << ",\"interval_ticks\":" << interval;
+    Json mlt = Json::array(), row_queue = Json::array(),
+         col_queue = Json::array();
     for (unsigned i = 0; i < n; ++i) {
         Tick rb = sys.rowBus(i).busyTicks();
         Tick cb = sys.colBus(i).busyTicks();
@@ -60,37 +60,35 @@ MetricsSampler::sampleNow()
         col_util += static_cast<double>(cb - lastColBusy[i]);
         lastRowBusy[i] = rb;
         lastColBusy[i] = cb;
+        mlt.push(
+            static_cast<std::uint64_t>(sys.node(0, i).table().size()));
+        row_queue.push(
+            static_cast<std::uint64_t>(sys.rowBus(i).pendingOps()));
+        col_queue.push(
+            static_cast<std::uint64_t>(sys.colBus(i).pendingOps()));
     }
     row_util /= static_cast<double>(interval) * n;
     col_util /= static_cast<double>(interval) * n;
-    os << ",\"row_util\":" << row_util << ",\"col_util\":" << col_util;
 
-    os << ",\"outstanding\":" << sys.outstandingTransactions();
-
-    os << ",\"mlt_occupancy\":[";
-    for (unsigned c = 0; c < n; ++c)
-        os << (c ? "," : "") << sys.node(0, c).table().size();
-    os << "]";
-
-    os << ",\"row_queue\":[";
-    for (unsigned i = 0; i < n; ++i)
-        os << (i ? "," : "") << sys.rowBus(i).pendingOps();
-    os << "],\"col_queue\":[";
-    for (unsigned i = 0; i < n; ++i)
-        os << (i ? "," : "") << sys.colBus(i).pendingOps();
-    os << "]";
-
-    // The tree shape is fixed after construction, so the entries
-    // arrive in a stable order and no per-sample map is needed.
     FlatStats flat;
     sys.statistics().flatten(flat);
-    os << ",\"stats\":{";
-    const char *sep = "";
-    for (const auto &[name, value] : flat) {
-        os << sep << "\"" << name << "\":" << value;
-        sep = ",";
-    }
-    os << "}}\n";
+    Json stats = Json::object();
+    for (const auto &[name, value] : flat)
+        stats.append(name, value);
+
+    Json line = Json::object();
+    line.append("tick", now);
+    line.append("interval_ticks", interval);
+    line.append("row_util", row_util);
+    line.append("col_util", col_util);
+    line.append("outstanding", sys.outstandingTransactions());
+    line.append("mlt_occupancy", std::move(mlt));
+    line.append("row_queue", std::move(row_queue));
+    line.append("col_queue", std::move(col_queue));
+    line.append("stats", std::move(stats));
+    // Compact and round-trippable (%.17g, non-finite as null): a
+    // counter past 10^6 keeps its low digits.
+    os << line.dump(-1) << "\n";
     lastTick = now;
     ++samples;
 }

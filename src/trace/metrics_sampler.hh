@@ -8,15 +8,17 @@
  * unwinds. The MetricsSampler wakes every N ticks and appends one
  * JSON object per line to a stream:
  *
- *   {"tick":200000,"interval_ticks":100000,
- *    "row_util":0.41,"col_util":0.33,          <- this interval only
+ *   {"tick":200000, "interval_ticks":100000,
+ *    "row_util":0.41, "col_util":0.33,         <- this interval only
  *    "outstanding":7,                          <- busy controllers
  *    "mlt_occupancy":[3,1,0,2],                <- entries per column
- *    "row_queue":[0,2,0,0],"col_queue":[1,0,0,0],
+ *    "row_queue":[0,2,0,0], "col_queue":[1,0,0,0],
  *    "stats":{ ...flattened cumulative tree... }}
  *
  * Interval utilisation is computed from busy-tick deltas, so the
  * series shows load as it happens rather than a long-run average.
+ * Numbers are written exactly (Json::dump: integers in full, doubles
+ * at %.17g), so a sample of a counter equals the counter.
  *
  * The sampler is a periodic observer of the system's event queue
  * (EventQueue::observe), not a timer event: it never changes the

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -69,11 +68,6 @@ TEST(Distribution, VarianceAppearsInDumps)
     std::ostringstream text;
     g.dump(text);
     EXPECT_NE(text.str().find("stddev"), std::string::npos);
-
-    std::ostringstream json;
-    g.dumpJson(json);
-    EXPECT_NE(json.str().find("\"variance\""), std::string::npos);
-    EXPECT_NE(json.str().find("\"stddev\""), std::string::npos);
 
     std::map<std::string, double> flat;
     g.flatten(flat);
@@ -293,15 +287,6 @@ TEST(StatGroup, EmptyAndSingleSampleDumpsStayFinite)
     EXPECT_DOUBLE_EQ(flat.at("edge.one_h.p999"), 42.0);
     EXPECT_DOUBLE_EQ(flat.at("edge.one_d.variance"), 0.0);
 
-    // dumpJson: no NaN/inf tokens (NaN is invalid JSON and would
-    // corrupt BENCH_*.json).
-    std::ostringstream json;
-    g.dumpJson(json);
-    const std::string js = json.str();
-    EXPECT_EQ(js.find("nan"), std::string::npos);
-    EXPECT_EQ(js.find("inf"), std::string::npos);
-    EXPECT_NE(js.find("\"empty_h\""), std::string::npos);
-
     // Plain-text dump survives too.
     std::ostringstream text;
     g.dump(text);
@@ -373,13 +358,6 @@ TEST(Histogram, AppearsInGroupDumps)
     StatGroup g("grp");
     g.addHistogram("qd", h, "queue delay");
 
-    std::ostringstream json;
-    g.dumpJson(json);
-    const std::string js = json.str();
-    EXPECT_NE(js.find("\"p50\""), std::string::npos);
-    EXPECT_NE(js.find("\"p95\""), std::string::npos);
-    EXPECT_NE(js.find("\"p99\""), std::string::npos);
-
     std::map<std::string, double> flat;
     g.flatten(flat);
     EXPECT_DOUBLE_EQ(flat.at("grp.qd"), h.mean());
@@ -406,30 +384,6 @@ TEST(StatGroup, FlattenProducesDottedNames)
     EXPECT_DOUBLE_EQ(flat.at("root.child.lat"), 7.0);
 }
 
-TEST(StatGroup, JsonDumpIsWellFormedish)
-{
-    Counter c;
-    c += 3;
-    Distribution d;
-    d.sample(7.0);
-    StatGroup root("root");
-    StatGroup child("child");
-    root.addCounter("ops", c);
-    child.addDistribution("lat", d);
-    root.addChild(child);
-
-    std::ostringstream oss;
-    root.dumpJson(oss);
-    std::string s = oss.str();
-    EXPECT_NE(s.find("\"root\": {"), std::string::npos);
-    EXPECT_NE(s.find("\"ops\": 3"), std::string::npos);
-    EXPECT_NE(s.find("\"child\": {"), std::string::npos);
-    EXPECT_NE(s.find("\"mean\": 7"), std::string::npos);
-    // Balanced braces.
-    EXPECT_EQ(std::count(s.begin(), s.end(), '{'),
-              std::count(s.begin(), s.end(), '}'));
-}
-
 TEST(StatGroup, DumpMentionsAllStats)
 {
     Counter c;
@@ -448,7 +402,7 @@ TEST(StatGroup, DumpMentionsAllStats)
 // ---------------------------------------------------------------------
 // Every controller counter and latency distribution must be registered
 // with the system stats tree: recovery campaigns read them through
-// flatten()/dumpJson() and a silently unregistered stat would make a
+// flatten() and a silently unregistered stat would make a
 // fault run look healthier than it is.
 // ---------------------------------------------------------------------
 
@@ -499,19 +453,6 @@ TEST(StatRegistration, AllControllerStatsAppearInSystemTree)
     EXPECT_GE(count_suffix("bounces"), 2u);
 }
 
-TEST(StatRegistration, DumpJsonContainsWatchdogStats)
-{
-    SystemParams p;
-    p.n = 2;
-    MulticubeSystem sys(p);
-
-    std::ostringstream oss;
-    sys.statistics().dumpJson(oss);
-    const std::string json = oss.str();
-    EXPECT_NE(json.find("watchdog_reissues"), std::string::npos);
-    EXPECT_NE(json.find("watchdog_recovery_latency"), std::string::npos);
-}
-
 TEST(StatRegistration, HistogramsAppearInSystemTree)
 {
     SystemParams p;
@@ -538,12 +479,4 @@ TEST(StatRegistration, HistogramsAppearInSystemTree)
     EXPECT_GE(queue, 4u);     // two row + two column buses
     EXPECT_GE(bounce, 2u);    // one per column memory
     EXPECT_GE(recovery, 4u);
-
-    std::ostringstream oss;
-    sys.statistics().dumpJson(oss);
-    const std::string json = oss.str();
-    EXPECT_NE(json.find("latency_hist"), std::string::npos);
-    EXPECT_NE(json.find("\"p50\""), std::string::npos);
-    EXPECT_NE(json.find("\"p95\""), std::string::npos);
-    EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }

@@ -16,6 +16,8 @@
 #include "core/checker.hh"
 #include "core/system.hh"
 #include "fault/fault_injector.hh"
+#include "proc/mix_workload.hh"
+#include "sim/json.hh"
 #include "trace/metrics_sampler.hh"
 #include "trace/trace_event.hh"
 
@@ -305,21 +307,53 @@ TEST(MetricsSamplerTest, EmitsParseableJsonl)
     EXPECT_GE(sampler.samplesTaken(), 5u);
     EXPECT_EQ(completed, sys.numNodes());
 
-    // One balanced JSON object per line with the headline fields.
+    // One JSON object per line with the headline fields.
     std::istringstream lines(os.str());
     std::string line;
     unsigned nlines = 0;
     while (std::getline(lines, line)) {
         ++nlines;
-        ASSERT_FALSE(line.empty());
-        EXPECT_EQ(line.front(), '{');
-        EXPECT_EQ(line.back(), '}');
-        EXPECT_EQ(std::count(line.begin(), line.end(), '{'),
-                  std::count(line.begin(), line.end(), '}'));
-        EXPECT_NE(line.find("\"tick\":"), std::string::npos);
-        EXPECT_NE(line.find("\"row_util\":"), std::string::npos);
-        EXPECT_NE(line.find("\"mlt_occupancy\":"), std::string::npos);
-        EXPECT_NE(line.find("\"stats\":"), std::string::npos);
+        std::string err;
+        Json j = Json::parse(line, &err);
+        ASSERT_TRUE(err.empty()) << err << " in: " << line;
+        ASSERT_TRUE(j.isObject());
+        EXPECT_TRUE(j.at("tick").isNumber());
+        EXPECT_TRUE(j.at("row_util").isNumber());
+        EXPECT_EQ(j.at("mlt_occupancy").size(), sys.n());
+        EXPECT_TRUE(j.at("stats").isObject());
     }
     EXPECT_EQ(nlines, sampler.samplesTaken());
+}
+
+TEST(MetricsSamplerTest, FinalSampleEqualsTheLiveStatsExactly)
+{
+    // Every sampled number is exact: a counter past 10^6 keeps the
+    // low digits that 6-significant-digit formatting would drop.
+    MulticubeSystem sys(smallParams());
+    std::ostringstream os;
+    MetricsSampler sampler(sys, 250'000, os);
+    sampler.start();
+    MixParams mix;
+    mix.requestsPerMs = 25.0;
+    MixWorkload wl(sys, mix);
+    wl.start();
+    while (sys.rowBus(0).busyTicks() <= 1'000'000)
+        sys.run(123'457);
+    sampler.stop();
+
+    std::string last;
+    std::istringstream lines(os.str());
+    for (std::string line; std::getline(lines, line);)
+        last = line;
+    const Json sample = Json::parse(last);
+    ASSERT_TRUE(sample.isObject());
+    EXPECT_EQ(sample.at("tick").asU64(), sys.eventQueue().now());
+
+    FlatStats live;
+    sys.statistics().flatten(live);
+    ASSERT_EQ(sample.at("stats").members().size(), live.size());
+    for (const auto &[name, value] : live)
+        EXPECT_EQ(sample.at("stats").at(name).asDouble(), value) << name;
+    EXPECT_GT(sample.at("stats").at("system.row0.busy_ticks").asDouble(),
+              1e6);
 }
