@@ -21,26 +21,6 @@
  *                          seed and the point's index, and rows are
  *                          emitted in rate order, so the CSV is
  *                          byte-identical for any job count.
- *   --sim-threads=N        run each *single* simulation on the
- *                          window-phased parallel engine with N
- *                          workers (0 = classic sequential engine;
- *                          default). Results are bit-identical for
- *                          any N >= 1 (see docs/PERFORMANCE.md,
- *                          "Parallel single-simulation engine"), but
- *                          the engine is a distinct canonical
- *                          schedule from N=0. Owns the worker pool,
- *                          so it forces --jobs=1. Metrics sampling,
- *                          profiling and tracing compose with it (a
- *                          profiled or traced run executes on one
- *                          thread; output is identical for any N);
- *                          fault injection forces it back to 0, with
- *                          one stderr line naming the flag
- *                          (sim/sim_threads_policy.hh).
- *   --par-stats-out=f.json per-shard engine telemetry (lane/worker
- *                          event attribution, phase timing, realized
- *                          vs projected speedup); needs
- *                          --sim-threads>=1. Covers the last
- *                          simulated point, like the trace files.
  *
  * Observability (sim mode):
  *   --trace-out=t.json     Chrome trace-event JSON (Perfetto-viewable;
@@ -66,10 +46,6 @@
  *                          with `mcube_report prof` or turn it into
  *                          flamegraph.pl input with
  *                          `mcube_report folded`
- *   --progress             heartbeat on stderr while points run
- *                          (points done/total, events/s, ETA).
- *                          Off by default; forced off when stderr is
- *                          not a TTY so piped runs stay clean.
  *   --seed=S               system base seed (sim mode); the effective
  *                          seed and full configuration are echoed in
  *                          the '#' header line, so a saved CSV is
@@ -81,62 +57,26 @@
  * *last* simulated point (each point truncates them); use a single
  * rate when tracing or profiling.
  *
- * Robustness (docs/ROBUSTNESS.md):
- *   --journal=FILE         append each completed simulation point to
- *                          an fsync'd JSONL journal (keyed by the
- *                          effective configuration + git revision)
- *   --resume               skip points the journal already records,
- *                          emitting their journaled rows verbatim —
- *                          the union of an interrupted + resumed
- *                          sweep is byte-identical to an
- *                          uninterrupted one
- *   --isolate              fork each point into a resource-limited
- *                          worker process (crash/OOM/timeout is
- *                          triaged per point, not per sweep)
- *   --deadline-s=T         per-point wall-clock deadline when
- *                          isolating (default 300; 0 = off)
- *   --heartbeat-s=T        max heartbeat silence before a point is
- *                          triaged Stalled (default 0 = off)
- *   --rss-mb=M             per-point address-space cap when isolating
- *                          (default 0 = off)
- *
- * SIGINT/SIGTERM drain gracefully: no new point starts, in-flight
- * points finish, the partial CSV and journal stay valid (exit
- * 128+signal); a second signal kills immediately.
+ * A point that crashes prints the system's pending transactions
+ * (docs/ROBUSTNESS.md); SIGINT kills the sweep.
  */
 
-#include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "core/system.hh"
 #include "fault/fault_injector.hh"
-#include "fault/progress_monitor.hh"
 #include "fault/reconfig.hh"
 #include "mva/mva_model.hh"
 #include "proc/mix_workload.hh"
 #include "run/crash_handler.hh"
-#include "run/provenance.hh"
-#include "run/shutdown.hh"
-#include "run/supervisor.hh"
-#include "run/work_journal.hh"
-#include "sim/parallel_engine.hh"
+#include "run/parse_number.hh"
 #include "sim/profiler.hh"
-#include "sim/sim_threads_policy.hh"
 #include "sim/sweep_runner.hh"
 #include "trace/metrics_sampler.hh"
 #include "trace/trace_event.hh"
@@ -145,6 +85,8 @@ using namespace mcube;
 
 namespace
 {
+
+using run::parseNumber;
 
 struct Options
 {
@@ -155,8 +97,6 @@ struct Options
     double simMs = 2.0;
     double invFrac = 0.20;
     unsigned jobs = 1;
-    unsigned simThreads = 0;
-    std::string parStatsOut;
     std::string traceOut;
     std::size_t traceCap = 1 << 16;
     std::string metricsOut;
@@ -166,41 +106,8 @@ struct Options
     FaultPlan faultPlan;
     bool haveFaultPlan = false;
     std::string profileOut;
-    bool progress = false;
     std::uint64_t seed = SystemParams{}.seed;
-    std::string journal;
-    bool resume = false;
-    bool isolate = false;
-    double deadlineS = 300.0;
-    double heartbeatS = 0.0;
-    std::uint64_t rssMb = 0;
 };
-
-/** Parse all of @p s as a finite number. */
-bool
-parseNumber(const std::string &s, double &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtod(s.c_str(), &end);
-    return !s.empty() && *end == '\0' && errno == 0 && std::isfinite(out);
-}
-
-/** Parse all of @p s as an unsigned decimal integer that fits @p T. */
-template <class T>
-bool
-parseNumber(const std::string &s, T &out)
-{
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end != '\0' || errno != 0 || v > std::numeric_limits<T>::max())
-        return false;
-    out = static_cast<T>(v);
-    return true;
-}
 
 /** Parse a comma-separated list of numbers (empty items skipped). */
 bool
@@ -236,8 +143,6 @@ parseArgs(int argc, char **argv, Options &opt)
         if (a.rfind("--", 0) != 0)
             return usageError("bad argument: " + a);
         auto eq = a.find('=');
-        // `--resume` and `--resume=1` are equivalent: a bare flag
-        // means "on".
         std::string key = eq == std::string::npos
                               ? a.substr(2)
                               : a.substr(2, eq - 2);
@@ -258,10 +163,6 @@ parseArgs(int argc, char **argv, Options &opt)
             ok = parseNumber(val, opt.invFrac);
         else if (key == "jobs")
             ok = parseNumber(val, opt.jobs);
-        else if (key == "sim-threads")
-            ok = parseNumber(val, opt.simThreads);
-        else if (key == "par-stats-out")
-            opt.parStatsOut = val;
         else if (key == "trace-out")
             opt.traceOut = val;
         else if (key == "trace-cap")
@@ -276,22 +177,8 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.faultPlanPath = val;
         else if (key == "profile-out")
             opt.profileOut = val;
-        else if (key == "progress")
-            opt.progress = val != "0";
         else if (key == "seed")
             ok = parseNumber(val, opt.seed);
-        else if (key == "journal")
-            opt.journal = val;
-        else if (key == "resume")
-            opt.resume = val != "0";
-        else if (key == "isolate")
-            opt.isolate = val != "0";
-        else if (key == "deadline-s")
-            ok = parseNumber(val, opt.deadlineS);
-        else if (key == "heartbeat-s")
-            ok = parseNumber(val, opt.heartbeatS);
-        else if (key == "rss-mb")
-            ok = parseNumber(val, opt.rssMb);
         else
             return usageError("unknown option: --" + key);
         if (!ok)
@@ -379,58 +266,8 @@ mvaRow(const Options &opt, double rate)
     return os.str();
 }
 
-/**
- * stderr heartbeat for long sweeps (--progress). Every write is one
- * buffered fputs, so concurrent workers cannot shear a line; the
- * carriage return keeps a TTY to a single status line. Mid-point
- * beats ride the ProgressMonitor's periodic check under either
- * engine; a livelocked point completes nothing, so its beats stop.
- */
-struct SweepProgress
-{
-    std::size_t total = 0;
-    std::chrono::steady_clock::time_point t0 =
-        std::chrono::steady_clock::now();
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::uint64_t> events{0};
-
-    void beat(std::uint64_t live_events)
-    {
-        double s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-        std::size_t d = done.load(std::memory_order_relaxed);
-        double ev = static_cast<double>(
-            events.load(std::memory_order_relaxed) + live_events);
-        double eta =
-            d ? s * static_cast<double>(total - d) / static_cast<double>(d)
-              : 0.0;
-        char buf[160];
-        std::snprintf(buf, sizeof buf,
-                      "\r[sweep] %zu/%zu points, %.2fM events/s%s%.0fs   ",
-                      d, total, s > 0 ? ev / s / 1e6 : 0.0,
-                      d ? ", ETA " : ", ETA >", eta);
-        std::fputs(buf, stderr);
-        std::fflush(stderr);
-    }
-
-    void pointDone(std::uint64_t point_events)
-    {
-        events.fetch_add(point_events, std::memory_order_relaxed);
-        done.fetch_add(1, std::memory_order_relaxed);
-        beat(0);
-    }
-
-    void finish() const
-    {
-        std::fputc('\n', stderr);
-        std::fflush(stderr);
-    }
-};
-
 std::string
-simRow(const Options &opt, double rate, std::uint64_t seed,
-       const run::Heartbeat *hb = nullptr, SweepProgress *prog = nullptr)
+simRow(const Options &opt, double rate, std::uint64_t seed)
 {
     // Self-profiling of the host: activated before the system is
     // built so construction-time scheduling is attributed too. The
@@ -444,34 +281,15 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
     SystemParams sp;
     sp.n = opt.n;
     sp.seed = seed;
-    sp.simThreads = opt.simThreads;
     sp.bus.blockWords = opt.block;
     if (opt.faultDrop > 0.0 || opt.haveFaultPlan)
         sp.ctrl.requestTimeoutTicks = 500'000;
     MulticubeSystem sys(sp);
 
-    // Crash diagnosis + supervised-worker liveness (observation only;
-    // the row stays byte-identical with or without either attached).
-    // The monitor beats only when a transaction completed since its
-    // last check (or none is outstanding), so a livelocked point goes
-    // silent and the supervisor triages it as Stalled.
+    // A crash prints the pending transactions (observation only; the
+    // row is byte-identical with or without it).
     run::ScopedCrashContext crashCtx(
         [&sys] { return sys.dumpPendingState(); });
-    std::unique_ptr<ProgressMonitor> monitor;
-    const bool beating = hb && hb->active();
-    if (beating || prog) {
-        if (beating)
-            hb->beat();
-        ProgressMonitorParams mp;
-        mp.onProgress = [hb, beating, prog, &sys] {
-            if (beating)
-                hb->beat();
-            if (prog)
-                prog->beat(sys.eventQueue().eventsExecuted());
-        };
-        monitor = std::make_unique<ProgressMonitor>(sys, mp);
-        monitor->start();
-    }
 
     const bool tracing = !opt.traceOut.empty();
     TransactionTracer tracer(opt.traceCap);
@@ -531,45 +349,12 @@ simRow(const Options &opt, double rate, std::uint64_t seed,
         std::ofstream out(opt.profileOut);
         prof.exportJson(out);
     }
-    if (!opt.parStatsOut.empty() && sys.parallelEngine()) {
-        std::ofstream out(opt.parStatsOut);
-        sys.parallelEngine()->telemetryJson(out);
-    }
-    if (prog)
-        prog->pointDone(sys.eventQueue().eventsExecuted());
 
     std::ostringstream os;
     os << "sim," << opt.n << ',' << rate << ',' << opt.block << ','
        << wl.efficiency() << ',' << rowUtil << ',' << colUtil << ','
        << wl.meanLatency() << '\n';
     return os.str();
-}
-
-/** Canonical identity of this sweep: everything that determines what
- *  the simulated rows contain (not how they are executed — jobs /
- *  isolation / deadlines don't belong in the key). */
-std::string
-sweepIdentity(const Options &opt)
-{
-    std::ostringstream oss;
-    oss << "sweep_cli|n=" << opt.n << "|seed=" << opt.seed
-        << "|block=" << opt.block << "|ms=" << opt.simMs
-        << "|inv=" << opt.invFrac << "|drop=" << opt.faultDrop;
-    // The parallel engine is its own canonical schedule, so journaled
-    // rows from it must not satisfy a sequential resume (or vice
-    // versa). The *worker count* is deliberately absent: results are
-    // identical for every --sim-threads >= 1. Appended only when
-    // active so pre-existing sequential journals keep their identity.
-    if (opt.simThreads > 0)
-        oss << "|parallel=1";
-    // The plan's *content* (not its path) determines the rows.
-    if (opt.haveFaultPlan)
-        oss << "|plan=" << toJson(opt.faultPlan).dump(-1);
-    oss << "|rates=";
-    for (std::size_t i = 0; i < opt.rates.size(); ++i)
-        oss << (i ? "," : "") << opt.rates[i];
-    oss << "|rev=" << run::gitRevision();
-    return oss.str();
 }
 
 } // namespace
@@ -585,8 +370,6 @@ main(int argc, char **argv)
     if (int rc = loadFaultPlan(opt); rc != 0)
         return rc;
 
-    run::GracefulShutdown::install();
-
     unsigned jobs = sweep::resolveJobs(opt.jobs);
     const bool observing = !opt.traceOut.empty()
                         || !opt.metricsOut.empty()
@@ -596,42 +379,6 @@ main(int argc, char **argv)
                      "trace/metrics/profile file; forcing --jobs=1\n";
         jobs = 1;
     }
-    // Tracing, metrics sampling and profiling compose with the
-    // parallel single-simulation engine; fault injection still needs
-    // the sequential engine. The policy — and the exact warning text
-    // naming each forcing flag — lives in the library so tests can
-    // assert it (sim/sim_threads_policy.hh). When the engine *is*
-    // active it owns the worker pool — point-level --jobs parallelism
-    // would oversubscribe the host, so jobs collapses to 1.
-    {
-        SimThreadsRequest req;
-        req.simThreads = opt.simThreads;
-        req.faultDrop = opt.faultDrop > 0.0;
-        req.faultPlan = opt.haveFaultPlan;
-        SimThreadsDecision dec = resolveSimThreads(req);
-        for (const std::string &w : dec.warnings)
-            std::cerr << "sweep_cli: " << w << "\n";
-        opt.simThreads = dec.simThreads;
-        if (opt.simThreads > 0 && jobs > 1) {
-            std::cerr << "sweep_cli: --sim-threads owns the worker "
-                         "pool; forcing --jobs=1\n";
-            jobs = 1;
-        }
-    }
-    if (!opt.parStatsOut.empty() && opt.simThreads == 0)
-        std::cerr << "sweep_cli: --par-stats-out needs "
-                     "--sim-threads>=1; ignoring\n";
-    // A heartbeat on a pipe would pollute captured stderr (CI logs,
-    // 2>file); only a human at a terminal gets one.
-    if (opt.progress && !isatty(fileno(stderr)))
-        opt.progress = false;
-
-    const bool simulating = opt.mode == "sim" || opt.mode == "both";
-    const bool isolate =
-        opt.isolate && simulating && run::Supervisor::supported();
-    if (opt.isolate && !isolate && simulating)
-        std::cerr << "sweep_cli: process isolation unavailable on "
-                     "this platform; running in-process\n";
 
     // Echo the effective configuration (seed included) ahead of the
     // data so any CSV on disk is re-runnable as-is. '#' lines are
@@ -639,8 +386,6 @@ main(int argc, char **argv)
     std::cout << "# sweep_cli --mode=" << opt.mode << " --n=" << opt.n
               << " --seed=" << opt.seed << " --block=" << opt.block
               << " --ms=" << opt.simMs << " --inv=" << opt.invFrac;
-    if (opt.simThreads > 0)
-        std::cout << " --sim-threads=" << opt.simThreads;
     if (opt.faultDrop > 0.0)
         std::cout << " --fault-drop=" << opt.faultDrop;
     if (opt.haveFaultPlan)
@@ -652,147 +397,23 @@ main(int argc, char **argv)
     std::cout << "mode,n,req_per_ms,block_words,efficiency,row_util,"
                  "col_util,resp_ns\n";
 
-    // Journal of completed simulation points. (MVA rows are a closed-
-    // form model — recomputing them is cheaper than journaling them.)
-    run::WorkJournal journal;
-    if (!opt.journal.empty() && simulating) {
-        if (!opt.resume) {
-            std::error_code ec;
-            std::filesystem::remove(opt.journal, ec);
-        }
-        Json hdr = Json::object();
-        hdr.set("tool", "sweep_cli");
-        hdr.set("identity", sweepIdentity(opt));
-        std::string jerr;
-        if (!journal.open(opt.journal,
-                          run::WorkJournal::keyOf(sweepIdentity(opt)),
-                          hdr, &jerr)) {
-            std::cerr << "sweep_cli: journal: " << jerr << "\n";
-            return 2;
-        }
-    }
-
     // Simulation points are independent: fan them out, then emit the
     // buffered rows in rate order so the CSV never depends on job
     // count or completion order. Per-point seeds come from the base
-    // seed and the point index for the same reason. Journaled points
-    // are emitted verbatim from their recorded rows, so a resumed
-    // sweep's data rows are byte-identical to an uninterrupted one.
+    // seed and the point index for the same reason.
+    const bool simulating = opt.mode == "sim" || opt.mode == "both";
     std::vector<std::string> simRows(opt.rates.size());
-    std::vector<std::string> simNote(opt.rates.size());
-    std::vector<std::size_t> pending;
-    bool interrupted = false;
-    SweepProgress progress;
-    if (simulating) {
-        for (std::size_t i = 0; i < opt.rates.size(); ++i) {
-            const std::string item = "sim_" + std::to_string(i);
-            if (const Json *rec = journal.find(item))
-                simRows[i] = rec->str("row");
-            else
-                pending.push_back(i);
-        }
-        SweepProgress *prog = nullptr;
-        if (opt.progress) {
-            progress.total = pending.size();
-            prog = &progress;
-        }
+    if (simulating)
+        sweep::SweepRunner(jobs).forEach(
+            opt.rates.size(), [&](std::size_t i) {
+                simRows[i] = simRow(opt, opt.rates[i],
+                                    sweep::pointSeed(opt.seed, i));
+            });
 
-        auto stop = [] { return run::GracefulShutdown::requested(); };
-        auto recordRow = [&](std::size_t i) {
-            if (!journal.isOpen())
-                return;
-            Json e = Json::object();
-            e.set("row", simRows[i]);
-            journal.record("sim_" + std::to_string(i), e);
-        };
-
-        if (isolate) {
-            run::WorkerLimits lim;
-            lim.wallSeconds = opt.deadlineS;
-            lim.heartbeatSeconds = opt.heartbeatS;
-            lim.rssBytes = opt.rssMb * (1ull << 20);
-            run::Supervisor sup(lim);
-            sup.runPool(
-                pending.size(), jobs,
-                [&](std::size_t k) -> run::Supervisor::ChildFn {
-                    std::size_t i = pending[k];
-                    return [&opt, i](const run::Heartbeat &hb,
-                                     std::string &resultOut) {
-                        resultOut =
-                            simRow(opt, opt.rates[i],
-                                   sweep::pointSeed(opt.seed, i), &hb);
-                        return 0;
-                    };
-                },
-                [&](std::size_t k, run::WorkerOutcome &&out) {
-                    std::size_t i = pending[k];
-                    // Workers are forked processes: the heartbeat
-                    // lives in the parent and beats per completed
-                    // point (event counts stay in the child).
-                    if (prog)
-                        prog->pointDone(0);
-                    if (out.triage == run::Triage::Clean) {
-                        simRows[i] = out.result;
-                        recordRow(i);
-                        return;
-                    }
-                    // A dead point is *not* journaled: --resume
-                    // retries it.
-                    std::ostringstream os;
-                    os << "# sim point " << i << " (rate "
-                       << opt.rates[i] << "): worker "
-                       << run::toString(out.triage);
-                    if (out.termSignal)
-                        os << " (signal " << out.termSignal << ")";
-                    os << "\n";
-                    simNote[i] = os.str();
-                },
-                stop);
-        } else {
-            sweep::SweepRunner runner(jobs);
-            runner.forEach(
-                pending.size(),
-                [&](std::size_t k) {
-                    std::size_t i = pending[k];
-                    simRows[i] =
-                        simRow(opt, opt.rates[i],
-                               sweep::pointSeed(opt.seed, i), nullptr,
-                               prog);
-                    recordRow(i);
-                },
-                stop);
-        }
-        if (prog)
-            prog->finish();
-        interrupted = run::GracefulShutdown::requested();
-    }
-
-    bool missing = false;
     for (std::size_t i = 0; i < opt.rates.size(); ++i) {
         if (opt.mode == "mva" || opt.mode == "both")
             std::cout << mvaRow(opt, opt.rates[i]);
-        if (simulating) {
-            if (!simRows[i].empty()) {
-                std::cout << simRows[i];
-            } else {
-                missing = true;
-                std::cout << (!simNote[i].empty()
-                                  ? simNote[i]
-                                  : "# sim point " + std::to_string(i)
-                                        + " not run (interrupted)\n");
-            }
-        }
+        std::cout << simRows[i];
     }
-
-    if (journal.isOpen() && !missing)
-        journal.finish();
-    if (interrupted) {
-        std::cerr << "sweep_cli: interrupted; partial CSV emitted";
-        if (journal.isOpen())
-            std::cerr << ", resume with --journal=" << opt.journal
-                      << " --resume";
-        std::cerr << "\n";
-        return run::GracefulShutdown::exitCode();
-    }
-    return missing ? 1 : 0;
+    return 0;
 }

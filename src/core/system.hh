@@ -43,9 +43,9 @@ struct SystemParams
      * event order than the sequential engine. Observers never change
      * them: periodic observers (EventQueue::observe) run at window
      * ends, and a run with a profiler or tracer active executes on
-     * one thread. Fault injection is still incompatible; sweep_cli
-     * forces 0 for it (see resolveSimThreads() in
-     * sim/sim_threads_policy.hh).
+     * one thread. Fault injection is not supported under it. No
+     * command-line tool selects the engine; the benchmark's
+     * mix_n64_par workload does (docs/PERFORMANCE.md).
      */
     unsigned simThreads = 0;
 };

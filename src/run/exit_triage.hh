@@ -2,7 +2,7 @@
  * @file
  * Exit-status triage for supervised worker processes.
  *
- * A supervised run (sweep point, fuzz case, bench point) ends in one
+ * A supervised run (one fuzz case) ends in one
  * of a small set of ways, and the supervisor must tell them apart to
  * decide what to do next: record the result, write a crash artifact,
  * or flag a livelocked worker. The classification funnels every

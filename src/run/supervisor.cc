@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <exception>
 #include <new>
-#include <vector>
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -57,7 +56,6 @@ using Clock = std::chrono::steady_clock;
 struct ChildProc
 {
     pid_t pid = -1;
-    std::size_t index = 0;
     int hbFd = -1;   //!< parent's read end of the heartbeat pipe
     int resFd = -1;  //!< parent's read end of the result pipe
     Clock::time_point start;
@@ -167,7 +165,7 @@ runChild(const Supervisor::ChildFn &fn, const WorkerLimits &limits,
 
 bool
 spawn(const Supervisor::ChildFn &fn, const WorkerLimits &limits,
-      std::size_t index, ChildProc &cp)
+      ChildProc &cp)
 {
     int hb[2] = {-1, -1};
     int res[2] = {-1, -1};
@@ -204,7 +202,6 @@ spawn(const Supervisor::ChildFn &fn, const WorkerLimits &limits,
 
     cp = ChildProc{};
     cp.pid = pid;
-    cp.index = index;
     cp.hbFd = hb[0];
     cp.resFd = res[0];
     cp.start = Clock::now();
@@ -227,68 +224,32 @@ spawn(const Supervisor::ChildFn &fn, const WorkerLimits &limits,
 
 } // namespace
 
-void
-Supervisor::runPool(
-    std::size_t count, unsigned jobs,
-    const std::function<ChildFn(std::size_t)> &makeChild,
-    const std::function<void(std::size_t, WorkerOutcome &&)> &done,
-    const std::function<bool()> &stop) const
+WorkerOutcome
+Supervisor::runOne(const ChildFn &fn) const
 {
-    if (count == 0)
-        return;
-    jobs = std::max(1u, jobs);
-
-    std::vector<ChildProc> running;
-    running.reserve(jobs);
-    std::size_t nextIndex = 0;
-    bool draining = false;
+    ChildProc cp;
+    if (!spawn(fn, limits, cp)) {
+        WorkerOutcome bad;
+        bad.triage = Triage::Fatal;
+        bad.error = "fork/pipe failed";
+        return bad;
+    }
 
     const auto hbWindow = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(limits.heartbeatSeconds));
 
     for (;;) {
-        if (!draining && stop && stop())
-            draining = true;
-
-        // Dispatch up to the worker cap (unless draining).
-        while (!draining && nextIndex < count
-               && running.size() < jobs) {
-            ChildProc cp;
-            if (!spawn(makeChild(nextIndex), limits, nextIndex, cp)) {
-                WorkerOutcome bad;
-                bad.triage = Triage::Fatal;
-                bad.error = "fork/pipe failed";
-                done(nextIndex, std::move(bad));
-            } else {
-                running.push_back(std::move(cp));
-            }
-            ++nextIndex;
-            if (stop && stop())
-                draining = true;
-        }
-
-        if (running.empty()) {
-            if (draining || nextIndex >= count)
-                return;
-            continue;
-        }
-
-        // Wait for output, exit, or the nearest deadline.
-        std::vector<pollfd> fds;
-        fds.reserve(running.size() * 2);
-        for (const auto &cp : running) {
-            if (cp.hbFd >= 0)
-                fds.push_back({cp.hbFd, POLLIN, 0});
-            if (cp.resFd >= 0)
-                fds.push_back({cp.resFd, POLLIN, 0});
-        }
+        // Wait for output, exit, or the nearer deadline.
+        pollfd fds[2];
+        nfds_t nfds = 0;
+        for (int fd : {cp.hbFd, cp.resFd})
+            if (fd >= 0)
+                fds[nfds++] = {fd, POLLIN, 0};
         auto now = Clock::now();
-        // 200ms floor keeps the stop predicate responsive even when
-        // no deadline is near; deadlines shorten the wait.
+        // The 200ms cap bounds how long an exit goes unnoticed once
+        // both pipes are at EOF; deadlines shorten the wait.
         auto wait = std::chrono::milliseconds(200);
-        for (const auto &cp : running) {
-            if (cp.kill != SupervisorKill::None)
-                continue;
+        if (cp.kill == SupervisorKill::None) {
             if (cp.hasDeadline)
                 wait = std::min(
                     wait, std::chrono::duration_cast<
@@ -304,140 +265,85 @@ Supervisor::runPool(
             std::max<std::chrono::milliseconds::rep>(wait.count(), 0));
         // With every pipe at EOF but the child still alive, poll is
         // a plain sleep — never a spin on waitpid.
-        int pr = ::poll(fds.empty() ? nullptr : fds.data(),
-                        static_cast<nfds_t>(fds.size()),
-                        timeoutMs + 1);
-        if (pr < 0 && errno != EINTR)
-            return;  // unrecoverable; children get reaped by init
+        if (::poll(fds, nfds, timeoutMs + 1) < 0 && errno != EINTR) {
+            WorkerOutcome bad;
+            bad.triage = Triage::Fatal;
+            bad.error = "poll failed";
+            return bad;  // the child gets reaped by init
+        }
 
         now = Clock::now();
-        for (auto &cp : running) {
-            // Drain pipes first so a burst of beats observed before
-            // the deadline check counts in the child's favour.
-            if (cp.hbFd >= 0) {
-                std::uint64_t beats = 0;
-                if (!drainFd(cp.hbFd, nullptr, &beats)) {
-                    ::close(cp.hbFd);
-                    cp.hbFd = -1;
-                }
-                if (beats > 0) {
-                    cp.out.heartbeats += beats;
-                    if (cp.hasHb)
-                        cp.hbDeadline = now + hbWindow;
-                }
+        // Drain pipes first so a burst of beats observed before the
+        // deadline check counts in the child's favour.
+        if (cp.hbFd >= 0) {
+            std::uint64_t beats = 0;
+            if (!drainFd(cp.hbFd, nullptr, &beats)) {
+                ::close(cp.hbFd);
+                cp.hbFd = -1;
             }
-            if (cp.resFd >= 0) {
-                if (!drainFd(cp.resFd, &cp.out.result, nullptr)) {
-                    ::close(cp.resFd);
-                    cp.resFd = -1;
-                }
+            if (beats > 0) {
+                cp.out.heartbeats += beats;
+                if (cp.hasHb)
+                    cp.hbDeadline = now + hbWindow;
             }
-            if (cp.kill == SupervisorKill::None) {
-                if (cp.hasDeadline && now >= cp.deadline) {
-                    cp.kill = SupervisorKill::Deadline;
-                    ::kill(cp.pid, SIGKILL);
-                } else if (cp.hasHb && now >= cp.hbDeadline) {
-                    cp.kill = SupervisorKill::Heartbeat;
-                    ::kill(cp.pid, SIGKILL);
-                }
+        }
+        if (cp.resFd >= 0 && !drainFd(cp.resFd, &cp.out.result, nullptr)) {
+            ::close(cp.resFd);
+            cp.resFd = -1;
+        }
+        if (cp.kill == SupervisorKill::None) {
+            if (cp.hasDeadline && now >= cp.deadline) {
+                cp.kill = SupervisorKill::Deadline;
+                ::kill(cp.pid, SIGKILL);
+            } else if (cp.hasHb && now >= cp.hbDeadline) {
+                cp.kill = SupervisorKill::Heartbeat;
+                ::kill(cp.pid, SIGKILL);
             }
         }
 
-        // Reap whatever finished; deliver outcomes.
-        for (std::size_t i = 0; i < running.size();) {
-            ChildProc &cp = running[i];
-            int status = 0;
-            pid_t r = ::waitpid(cp.pid, &status, WNOHANG);
-            if (r == 0) {
-                ++i;
-                continue;
-            }
-            // Pull any bytes still buffered in the pipes (they
-            // outlive the writer), then finalize.
-            if (cp.hbFd >= 0) {
-                drainFd(cp.hbFd, nullptr, &cp.out.heartbeats);
-                ::close(cp.hbFd);
-            }
-            if (cp.resFd >= 0) {
-                drainFd(cp.resFd, &cp.out.result, nullptr);
-                ::close(cp.resFd);
-            }
-            WorkerOutcome out = std::move(cp.out);
-            if (r < 0) {
-                out.triage = Triage::Fatal;
-                out.error = "waitpid failed";
-            } else {
-                out.triage = triageWaitStatus(status, cp.kill);
-                if (WIFEXITED(status))
-                    out.exitCode = WEXITSTATUS(status);
-                if (WIFSIGNALED(status))
-                    out.termSignal = WTERMSIG(status);
-            }
-            out.wallSeconds =
-                std::chrono::duration<double>(Clock::now() - cp.start)
-                    .count();
-            std::size_t index = cp.index;
-            running.erase(running.begin()
-                          + static_cast<std::ptrdiff_t>(i));
-            done(index, std::move(out));
+        int status = 0;
+        pid_t r = ::waitpid(cp.pid, &status, WNOHANG);
+        if (r == 0)
+            continue;
+        // Pull any bytes still buffered in the pipes (they outlive the
+        // writer), then finalize.
+        if (cp.hbFd >= 0) {
+            drainFd(cp.hbFd, nullptr, &cp.out.heartbeats);
+            ::close(cp.hbFd);
         }
+        if (cp.resFd >= 0) {
+            drainFd(cp.resFd, &cp.out.result, nullptr);
+            ::close(cp.resFd);
+        }
+        WorkerOutcome out = std::move(cp.out);
+        if (r < 0) {
+            out.triage = Triage::Fatal;
+            out.error = "waitpid failed";
+        } else {
+            out.triage = triageWaitStatus(status, cp.kill);
+            if (WIFEXITED(status))
+                out.exitCode = WEXITSTATUS(status);
+            if (WIFSIGNALED(status))
+                out.termSignal = WTERMSIG(status);
+        }
+        out.wallSeconds =
+            std::chrono::duration<double>(Clock::now() - cp.start)
+                .count();
+        return out;
     }
 }
 
 #else // !__unix__
 
-void
-Supervisor::runPool(
-    std::size_t count, unsigned jobs,
-    const std::function<ChildFn(std::size_t)> &makeChild,
-    const std::function<void(std::size_t, WorkerOutcome &&)> &done,
-    const std::function<bool()> &stop) const
+WorkerOutcome
+Supervisor::runOne(const ChildFn &) const
 {
-    // No fork(): degrade to inline execution with no isolation. The
-    // exit-code conventions still map onto triage kinds.
-    (void)jobs;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (stop && stop())
-            return;
-        WorkerOutcome out;
-        try {
-            out.exitCode = makeChild(i)(Heartbeat(), out.result);
-        } catch (...) {
-            out.exitCode = kFatalExit;
-        }
-        switch (out.exitCode) {
-          case 0:
-            out.triage = Triage::Clean;
-            break;
-          case 1:
-            out.triage = Triage::ItemFailed;
-            break;
-          case 2:
-            out.triage = Triage::BadInput;
-            break;
-          case kOomExit:
-            out.triage = Triage::Oom;
-            break;
-          default:
-            out.triage = Triage::Fatal;
-            break;
-        }
-        done(i, std::move(out));
-    }
+    // Callers check supported() and run the item inline instead.
+    WorkerOutcome out;
+    out.error = "process isolation needs fork()";
+    return out;
 }
 
 #endif // __unix__
-
-WorkerOutcome
-Supervisor::runOne(const ChildFn &fn) const
-{
-    WorkerOutcome result;
-    runPool(
-        1, 1, [&](std::size_t) { return fn; },
-        [&](std::size_t, WorkerOutcome &&out) {
-            result = std::move(out);
-        });
-    return result;
-}
 
 } // namespace mcube::run

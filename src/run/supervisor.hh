@@ -1,10 +1,9 @@
 /**
  * @file
- * Process-isolated execution of sweep points, fuzz cases and bench
- * points.
+ * Process-isolated execution of fuzz cases.
  *
- * One misbehaving item must not take down a campaign: the Supervisor
- * forks each item into a worker process with
+ * One misbehaving case must not take down a campaign: the Supervisor
+ * forks each case into a worker process with
  *
  *  - an address-space cap (setrlimit(RLIMIT_AS); RLIMIT_RSS is a
  *    no-op on modern Linux) plus a new-handler that converts
@@ -23,12 +22,8 @@
  * stack), and the parent fflush()es stdio before forking, so gtest /
  * CLI output is never duplicated through an inherited buffer.
  *
- * runPool() is the campaign shape: up to `jobs` concurrent forked
- * workers, dispatch stopping as soon as the stop predicate fires
- * (graceful drain — in-flight workers finish or hit their deadline),
- * completion delivered in whatever order children finish. Everything
- * here is POSIX; supported() gates the fallback inline path callers
- * keep for exotic platforms.
+ * Everything here is POSIX; supported() gates the fallback inline
+ * path callers keep for exotic platforms.
  */
 
 #ifndef MCUBE_RUN_SUPERVISOR_HH
@@ -100,20 +95,6 @@ class Supervisor
 
     /** Run one item in a supervised worker, blocking until triage. */
     WorkerOutcome runOne(const ChildFn &fn) const;
-
-    /**
-     * Run items [0, count) with up to @p jobs concurrent workers.
-     * @p makeChild builds item i's body (called in the parent, just
-     * before the fork); @p done receives each outcome on the calling
-     * thread, in completion order. @p stop is polled before every
-     * dispatch: once true, no new worker starts but in-flight workers
-     * drain normally (finish, or hit their deadline).
-     */
-    void runPool(std::size_t count, unsigned jobs,
-                 const std::function<ChildFn(std::size_t)> &makeChild,
-                 const std::function<void(std::size_t, WorkerOutcome &&)>
-                     &done,
-                 const std::function<bool()> &stop = {}) const;
 
     const WorkerLimits &workerLimits() const { return limits; }
 

@@ -2,10 +2,10 @@
  * @file
  * Append-only, fsync'd JSONL journal of completed work items.
  *
- * Long harness runs (sweeps, fuzz campaigns, benches) lose hours of
- * finished work when the process dies; the journal makes completed
- * items durable so a restarted run can skip them. The format is built
- * for crash-survival, not elegance:
+ * Long fuzz campaigns lose hours of finished work when the process
+ * dies; the journal makes completed items durable so a restarted run
+ * can skip them. The format is built for crash-survival, not
+ * elegance:
  *
  *  - one JSON object per line, appended with O_APPEND and fsync'd, so
  *    a line is either fully on disk or absent — a torn final line
@@ -20,10 +20,10 @@
  *    point), but lets tooling distinguish "drained cleanly" from
  *    "died mid-run".
  *
- * The determinism contract proved by the sweep/fuzz engines (same
- * seed + index => bit-identical result) is what makes journal-based
- * resume sound: an item's journaled record equals what re-running it
- * would produce, so interrupted + resumed == uninterrupted.
+ * The fuzz campaign's determinism contract (same seed + index =>
+ * bit-identical result) is what makes journal-based resume sound: an
+ * item's journaled record equals what re-running it would produce,
+ * so interrupted + resumed == uninterrupted.
  */
 
 #ifndef MCUBE_RUN_WORK_JOURNAL_HH
@@ -82,8 +82,8 @@ class WorkJournal
 
     /**
      * Durably append @p record for @p item: one JSONL line, fsync'd
-     * before returning. Thread-safe (parallel sweep workers record
-     * concurrently). @return false on write failure.
+     * before returning. Thread-safe. @return false on write
+     * failure.
      */
     bool record(const std::string &item, Json record);
 

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "sim/json.hh"
 #include "sim/profiler.hh"
 #include "trace/trace_event.hh"
 
@@ -15,29 +13,6 @@ namespace mcube
 
 namespace
 {
-
-/** Peak resident-set high-water mark (VmHWM) in bytes, 0 where the
- *  kernel doesn't export it. The n=128 (16K processor) canary graphs
- *  this: at that scale memory, not host cycles, is the first wall. */
-std::uint64_t
-peakRssBytes()
-{
-#ifdef __linux__
-    if (std::FILE *f = std::fopen("/proc/self/status", "r")) {
-        char line[256];
-        std::uint64_t kb = 0;
-        while (std::fgets(line, sizeof line, f)) {
-            if (std::strncmp(line, "VmHWM:", 6) == 0) {
-                kb = std::strtoull(line + 6, nullptr, 10);
-                break;
-            }
-        }
-        std::fclose(f);
-        return kb * 1024;
-    }
-#endif
-    return 0;
-}
 
 /** Amdahl-style speedup for @p k workers: 1 / (serial + parallel *
  *  imbalance / k), capped at k. */
@@ -98,7 +73,7 @@ struct ParallelEngine::Lane
 
 ParallelEngine::ParallelEngine(EventQueue &eq, unsigned n,
                                unsigned workers, Tick window)
-    : eq(eq), n_(n), workersRequested_(workers),
+    : eq(eq), n_(n),
       workers_(std::max(1u, std::min(workers, n))),
       window_(std::max<Tick>(1, window))
 {
@@ -459,27 +434,9 @@ ParallelEngine::empty() const
 }
 
 double
-ParallelEngine::Telemetry::parallelFracEvents() const
-{
-    return events ? double(rowEvents + colEvents) / double(events) : 0.0;
-}
-
-double
 ParallelEngine::Telemetry::serialFracEvents() const
 {
     return events ? double(serialEvents) / double(events) : 0.0;
-}
-
-double
-ParallelEngine::Telemetry::serialEventsPerWindow() const
-{
-    return windows ? double(serialEvents) / double(windows) : 0.0;
-}
-
-double
-ParallelEngine::Telemetry::serialNsPerWindow() const
-{
-    return windows ? double(serialNs) / double(windows) : 0.0;
 }
 
 double
@@ -518,9 +475,7 @@ ParallelEngine::Telemetry
 ParallelEngine::telemetry() const
 {
     Telemetry t;
-    t.workersRequested = workersRequested_;
     t.workersEffective = workers_;
-    t.windowTicks = window_;
     t.windows = windows_;
     t.parallelPhases = parallelPhases_;
     t.events = executedTotal_.load(std::memory_order_relaxed);
@@ -533,54 +488,11 @@ ParallelEngine::telemetry() const
     t.rowPhaseNs = rowPhaseNs_;
     t.colPhaseNs = colPhaseNs_;
     t.barrierWaitNs = barrierWaitNs_;
-    t.peakRssBytes = peakRssBytes();
     t.laneEvents.reserve(lanes.size());
     for (const auto &l : lanes)
         t.laneEvents.push_back(l->executed);
     t.workerEvents = workerEvents_;
     return t;
-}
-
-void
-ParallelEngine::telemetryJson(std::ostream &os) const
-{
-    const Telemetry t = telemetry();
-    auto array = [](const std::vector<std::uint64_t> &v) {
-        Json a = Json::array();
-        for (std::uint64_t x : v)
-            a.push(x);
-        return a;
-    };
-    Json j = Json::object();
-    j.set("workers_requested", t.workersRequested);
-    j.set("workers_effective", t.workersEffective);
-    j.set("window_ticks", t.windowTicks);
-    j.set("windows", t.windows);
-    j.set("parallel_phases", t.parallelPhases);
-    j.set("events", t.events);
-    j.set("serial_events", t.serialEvents);
-    j.set("row_events", t.rowEvents);
-    j.set("col_events", t.colEvents);
-    j.set("cross_lane_ops", t.crossLaneOps);
-    j.set("wall_ns", t.wallNs);
-    j.set("serial_ns", t.serialNs);
-    j.set("row_phase_ns", t.rowPhaseNs);
-    j.set("col_phase_ns", t.colPhaseNs);
-    j.set("barrier_wait_ns", t.barrierWaitNs);
-    j.set("peak_rss_bytes", t.peakRssBytes);
-    // Serial-lane pressure as first-class columns: the quantity the
-    // per-node home-lane sharding shrinks (docs/PERFORMANCE.md).
-    j.set("serial_frac_events", t.serialFracEvents());
-    j.set("serial_events_per_window", t.serialEventsPerWindow());
-    j.set("serial_ns_per_window", t.serialNsPerWindow());
-    j.set("parallel_frac_events", t.parallelFracEvents());
-    j.set("parallel_frac_ns", t.parallelFracNs());
-    j.set("imbalance", t.imbalance());
-    j.set("projected_speedup_at_workers",
-          t.projectedSpeedup(t.workersEffective));
-    j.set("lane_events", array(t.laneEvents));
-    j.set("worker_events", array(t.workerEvents));
-    os << j.dump(2) << "\n";
 }
 
 } // namespace mcube

@@ -38,15 +38,18 @@
  * and destination sequence numbers are assigned at merge time — an
  * order with no dependence on the worker count or on which worker ran
  * which lane. Together with per-lane (tick, seq) execution order this
- * makes the simulated results **bit-identical for any --sim-threads
- * value**; a ctest (parallel_engine_test) and the tsan CI job enforce
- * it at 1/2/4/8 shards.
+ * makes the simulated results **bit-identical for any
+ * SystemParams::simThreads >= 1**; a ctest (parallel_engine_test) and
+ * the tsan CI job enforce it at 1/2/4/8 shards.
  *
  * The parallel engine is a *distinct* canonical schedule from the
  * classic sequential engine (simThreads = 0): phases quantize
  * cross-dimension interleavings, so its stat trees are reproducible
  * across thread counts but are not expected to equal the classic
  * engine's. The classic engine stays the default and is untouched.
+ * Nor is the window schedule a legal bus arbitration: a foreign-lane
+ * Bus::request is applied at the barrier, so some grants precede
+ * their enqueue or overlap the previous op (docs/PERFORMANCE.md).
  *
  * Observers take no part in the schedule. Periodic observers
  * (EventQueue::observe) run on the coordinator after the window's
@@ -69,7 +72,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -164,9 +166,7 @@ class ParallelEngine
     /** Realized execution telemetry (per-shard attribution). */
     struct Telemetry
     {
-        unsigned workersRequested = 0;
         unsigned workersEffective = 0;
-        Tick windowTicks = 0;
         std::uint64_t windows = 0;
         std::uint64_t parallelPhases = 0;
         std::uint64_t events = 0;
@@ -179,21 +179,12 @@ class ParallelEngine
         std::uint64_t rowPhaseNs = 0;
         std::uint64_t colPhaseNs = 0;
         std::uint64_t barrierWaitNs = 0; //!< coordinator wait at joins
-        std::uint64_t peakRssBytes = 0;  //!< VmHWM at snapshot (0 if
-                                         //!< unavailable)
         std::vector<std::uint64_t> laneEvents;   //!< per shard
         std::vector<std::uint64_t> workerEvents; //!< per worker
 
-        /** Share of events executed in parallel phases. */
-        double parallelFracEvents() const;
         /** Share of events that ran on the serial lane — the Amdahl
          *  bottleneck the per-node sharding attacks. */
         double serialFracEvents() const;
-        /** Mean serial-lane events per window (first-class per-window
-         *  pressure column; see docs/PERFORMANCE.md). */
-        double serialEventsPerWindow() const;
-        /** Mean serial-phase host-ns per window. */
-        double serialNsPerWindow() const;
         /** Host-ns share of the parallel phases. */
         double parallelFracNs() const;
         /** Max/mean per-lane event imbalance (row+col lanes). */
@@ -206,10 +197,6 @@ class ParallelEngine
 
     /** Snapshot the telemetry (call while idle). */
     Telemetry telemetry() const;
-
-    /** Write telemetry() as a JSON object (the per-shard artifact CI
-     *  uploads; see --par-stats-out in sweep_cli). */
-    void telemetryJson(std::ostream &os) const;
 
   private:
     struct Lane;
@@ -240,7 +227,6 @@ class ParallelEngine
 
     EventQueue &eq;
     const unsigned n_;
-    const unsigned workersRequested_;
     const unsigned workers_;     //!< effective (<= n, >= 1)
     const Tick window_;
     Tick now_ = 0;

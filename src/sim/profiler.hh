@@ -16,7 +16,7 @@
  *
  * The profiler attributes; it does not predict. How much of the grid
  * actually runs in parallel is measured by the parallel engine's
- * telemetry (ParallelEngine::Telemetry, sweep_cli --par-stats-out).
+ * telemetry (ParallelEngine::Telemetry, reported by perfbench).
  *
  * Cost contract (same discipline as MCUBE_TRACE / MCUBE_LOG): when no
  * profiler is active every hook is one thread-local pointer load and

@@ -33,8 +33,7 @@ SweepRunner::SweepRunner(unsigned jobs) : _jobs(resolveJobs(jobs)) {}
 
 void
 SweepRunner::forEach(std::size_t count,
-                     const std::function<void(std::size_t)> &body,
-                     const std::function<bool()> &stop) const
+                     const std::function<void(std::size_t)> &body) const
 {
     if (count == 0)
         return;
@@ -44,11 +43,8 @@ SweepRunner::forEach(std::size_t count,
     if (workers <= 1) {
         // Inline fast path: no threads, easiest to debug and the only
         // mode in which process-global tools (tracing) may be active.
-        for (std::size_t i = 0; i < count; ++i) {
-            if (stop && stop())
-                return;
+        for (std::size_t i = 0; i < count; ++i)
             body(i);
-        }
         return;
     }
 
@@ -58,8 +54,6 @@ SweepRunner::forEach(std::size_t count,
 
     auto worker = [&] {
         for (;;) {
-            if (stop && stop())
-                return;
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= count)
                 return;

@@ -59,16 +59,9 @@ class SweepRunner
      * don't serialize the tail; @p body must not share mutable state
      * across indices. The first exception thrown by any point is
      * rethrown here after all workers stop.
-     *
-     * @p stop, when provided, is polled before each claim: once it
-     * returns true, no further indices are claimed — points already
-     * in flight complete normally (graceful drain; the caller can
-     * tell which indices ran). Results stay bit-identical for any
-     * job count over whichever indices did run.
      */
     void forEach(std::size_t count,
-                 const std::function<void(std::size_t)> &body,
-                 const std::function<bool()> &stop = {}) const;
+                 const std::function<void(std::size_t)> &body) const;
 
     /**
      * Compute @p body(i) for every index and return the results in

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
@@ -18,18 +19,33 @@ using namespace mcube;
 namespace
 {
 
+// gtest prints a parameter that has no PrintTo as a byte dump, and
+// the ctest case names carry that dump; the padding is spelled out and
+// zeroed so those names do not pick up stack garbage run to run.
 struct Flavor
 {
+    Flavor(unsigned n, std::uint64_t seed, bool snarf, double drop,
+           double tset, bool chaos, bool earlyAlloc = false,
+           bool cutThrough = false, unsigned pieceWords = 0)
+        : n(n), seed(seed), snarf(snarf), drop(drop), tset(tset),
+          chaos(chaos), earlyAlloc(earlyAlloc), cutThrough(cutThrough),
+          pieceWords(pieceWords)
+    {}
+
     unsigned n;
+    std::uint32_t pad0 = 0;
     std::uint64_t seed;
     bool snarf;
+    std::uint8_t pad1[7] = {};
     double drop;
     double tset;
     bool chaos;
-    bool earlyAlloc = false;
-    bool cutThrough = false;
-    unsigned pieceWords = 0;
+    bool earlyAlloc;
+    bool cutThrough;
+    std::uint8_t pad2 = 0;
+    unsigned pieceWords;
 };
+static_assert(sizeof(Flavor) == 48, "Flavor has hidden padding");
 
 std::string
 flavorName(const ::testing::TestParamInfo<Flavor> &info)

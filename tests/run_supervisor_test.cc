@@ -1,10 +1,9 @@
 /** @file
  * Supervisor + journal unit tests: the exit-triage table, forked
  * workers for every triage class (clean, item-failed, crash-signal,
- * timeout, stalled-heartbeat, OOM under an address-space cap), the
- * worker pool with a drain predicate, and WorkJournal durability —
- * resume loading, campaign-key mismatch refusal, and torn-trailing-
- * line neutralization.
+ * timeout, stalled-heartbeat, OOM under an address-space cap) and
+ * WorkJournal durability — resume loading, campaign-key mismatch
+ * refusal, and torn-trailing-line neutralization.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -244,83 +242,6 @@ TEST(Supervisor, AllocationPastRssCapTriagesAsOom)
         });
     EXPECT_EQ(out.triage, Triage::Oom);
     EXPECT_EQ(out.exitCode, kOomExit);
-}
-
-// ---------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------
-
-TEST(Supervisor, PoolRunsEveryItemConcurrently)
-{
-    if (!Supervisor::supported())
-        GTEST_SKIP();
-    Supervisor sup;
-    std::vector<std::string> results(8);
-    std::set<std::size_t> seen;
-    sup.runPool(
-        8, 4,
-        [](std::size_t i) -> Supervisor::ChildFn {
-            return [i](const Heartbeat &, std::string &res) {
-                res = "item-" + std::to_string(i);
-                return 0;
-            };
-        },
-        [&](std::size_t i, WorkerOutcome &&out) {
-            ASSERT_EQ(out.triage, Triage::Clean);
-            results[i] = out.result;
-            seen.insert(i);
-        });
-    EXPECT_EQ(seen.size(), 8u);
-    for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(results[i], "item-" + std::to_string(i));
-}
-
-TEST(Supervisor, PoolStopPredicateDrainsWithoutDispatching)
-{
-    if (!Supervisor::supported())
-        GTEST_SKIP();
-    Supervisor sup;
-    unsigned completions = 0;
-    sup.runPool(
-        100, 2,
-        [](std::size_t i) -> Supervisor::ChildFn {
-            return [i](const Heartbeat &, std::string &res) {
-                res = std::to_string(i);
-                return 0;
-            };
-        },
-        [&](std::size_t, WorkerOutcome &&) { ++completions; },
-        [] { return true; });  // stop before anything dispatches
-    EXPECT_EQ(completions, 0u);
-}
-
-TEST(Supervisor, PoolIsolatesOneCrashFromTheRest)
-{
-    if (!Supervisor::supported())
-        GTEST_SKIP();
-    Supervisor sup;
-    unsigned clean = 0, crashed = 0;
-    sup.runPool(
-        6, 3,
-        [](std::size_t i) -> Supervisor::ChildFn {
-            return [i](const Heartbeat &, std::string &res) -> int {
-                if (i == 3)
-                    __builtin_trap();
-                res = "ok";
-                return 0;
-            };
-        },
-        [&](std::size_t i, WorkerOutcome &&out) {
-            if (i == 3) {
-                EXPECT_EQ(out.triage, Triage::CrashSignal);
-                ++crashed;
-            } else {
-                EXPECT_EQ(out.triage, Triage::Clean);
-                ++clean;
-            }
-        });
-    EXPECT_EQ(clean, 5u);
-    EXPECT_EQ(crashed, 1u);
 }
 
 // ---------------------------------------------------------------------

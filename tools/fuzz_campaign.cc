@@ -34,17 +34,24 @@
  *   fuzz_campaign --one-off --n=N --sys-seed=S --tester-seed=S ...
  *       Run a single explicit config (the form RandomTester's failure
  *       banner prints). Exit 0 on pass, 1 on failure.
+ *
+ * A flag the mode does not take, a number that does not parse whole,
+ * or --runs=0 exits 2 with one stderr line naming the flag.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "fuzz/campaign.hh"
 #include "run/crash_handler.hh"
+#include "run/parse_number.hh"
 #include "run/provenance.hh"
 #include "run/shutdown.hh"
 
@@ -56,40 +63,55 @@ namespace
 
 struct Args
 {
-    std::vector<std::pair<std::string, std::string>> kv;
+    std::map<std::string, std::string> kv;
+    /** The first usage error num() met; empty while all parsed. */
+    std::string error;
 
-    bool
-    has(const std::string &key) const
-    {
-        for (const auto &[k, v] : kv)
-            if (k == key)
-                return true;
-        return false;
-    }
+    bool has(const std::string &key) const { return kv.count(key) != 0; }
 
     std::string
     str(const std::string &key, const std::string &dflt = "") const
     {
-        for (const auto &[k, v] : kv)
-            if (k == key)
-                return v;
-        return dflt;
+        auto it = kv.find(key);
+        return it == kv.end() ? dflt : it->second;
     }
 
-    std::uint64_t
-    u64(const std::string &key, std::uint64_t dflt) const
+    /** The value of --@p key as a number, @p dflt when it is absent.
+     *  A value that does not parse whole sets error. */
+    template <class T>
+    T
+    num(const std::string &key, T dflt)
     {
-        std::string v = str(key);
-        return v.empty() ? dflt : std::strtoull(v.c_str(), nullptr, 10);
-    }
-
-    double
-    num(const std::string &key, double dflt) const
-    {
-        std::string v = str(key);
-        return v.empty() ? dflt : std::strtod(v.c_str(), nullptr);
+        T out = dflt;
+        auto it = kv.find(key);
+        if (it != kv.end() && !run::parseNumber(it->second, out)
+            && error.empty())
+            error = "--" + key + ": '" + it->second
+                  + "' is not a valid number";
+        return out;
     }
 };
+
+// The flags each mode takes; any other is a usage error.
+constexpr std::string_view kCampaignFlags[] = {
+    "runs", "campaign-seed", "time-budget-s", "out-dir", "no-shrink",
+    "max-shrink-runs", "plant-bug", "journal", "no-journal", "resume",
+    "no-isolate", "deadline-s", "heartbeat-s", "rss-mb",
+    "plant-crash-at"};
+constexpr std::string_view kReplayFlags[] = {
+    "replay", "shrink", "out-dir", "max-shrink-runs"};
+constexpr std::string_view kOneOffFlags[] = {
+    "one-off", "n", "sys-seed", "timeout-ticks", "max-ticks",
+    "tester-seed", "ops", "data-lines", "lock-lines", "p-write",
+    "p-alloc", "p-tset", "p-sync", "think", "chaos", "plan"};
+
+/** Print "fuzz_campaign: <msg>" as the one line of a usage error. */
+int
+usageError(const std::string &msg)
+{
+    std::cerr << "fuzz_campaign: " << msg << "\n";
+    return 2;
+}
 
 int
 usage()
@@ -128,9 +150,14 @@ printResult(const RunConfig &cfg, const RunResult &res)
 }
 
 int
-replay(const Args &args)
+replay(Args &args, const std::string &header)
 {
     const std::string path = args.str("replay");
+    const unsigned maxShrinkRuns = args.num("max-shrink-runs", 400u);
+    if (!args.error.empty())
+        return usageError(args.error);
+    std::cout << header << "\n";
+
     std::ifstream in(path);
     if (!in) {
         std::cerr << "fuzz_campaign: cannot open " << path << "\n";
@@ -193,7 +220,7 @@ replay(const Args &args)
 
     if (args.has("shrink")) {
         ShrinkResult s = shrinkRepro(
-            cfg, static_cast<unsigned>(args.u64("max-shrink-runs", 400)),
+            cfg, maxShrinkRuns,
             [](const std::string &m) { std::cout << m << "\n"; });
         std::string out = args.str("out-dir", ".") + "/replay.min.json";
         std::ofstream o(out);
@@ -205,29 +232,31 @@ replay(const Args &args)
 }
 
 int
-oneOff(const Args &args)
+oneOff(Args &args, const std::string &header)
 {
     RunConfig cfg;
-    cfg.n = static_cast<unsigned>(args.u64("n", cfg.n));
-    cfg.sysSeed = args.u64("sys-seed", cfg.sysSeed);
+    cfg.n = args.num("n", cfg.n);
+    cfg.sysSeed = args.num("sys-seed", cfg.sysSeed);
     cfg.requestTimeoutTicks =
-        args.u64("timeout-ticks", cfg.requestTimeoutTicks);
-    cfg.maxTicks = args.u64("max-ticks", cfg.maxTicks);
+        args.num("timeout-ticks", cfg.requestTimeoutTicks);
+    cfg.maxTicks = args.num("max-ticks", cfg.maxTicks);
 
-    cfg.tester.seed = args.u64("tester-seed", cfg.tester.seed);
-    cfg.tester.opsPerNode =
-        static_cast<unsigned>(args.u64("ops", cfg.tester.opsPerNode));
-    cfg.tester.numDataLines = static_cast<unsigned>(
-        args.u64("data-lines", cfg.tester.numDataLines));
-    cfg.tester.numLockLines = static_cast<unsigned>(
-        args.u64("lock-lines", cfg.tester.numLockLines));
+    cfg.tester.seed = args.num("tester-seed", cfg.tester.seed);
+    cfg.tester.opsPerNode = args.num("ops", cfg.tester.opsPerNode);
+    cfg.tester.numDataLines =
+        args.num("data-lines", cfg.tester.numDataLines);
+    cfg.tester.numLockLines =
+        args.num("lock-lines", cfg.tester.numLockLines);
     cfg.tester.pWrite = args.num("p-write", cfg.tester.pWrite);
     cfg.tester.pAllocate = args.num("p-alloc", cfg.tester.pAllocate);
     cfg.tester.pTset = args.num("p-tset", cfg.tester.pTset);
     cfg.tester.pSyncOfLocks =
         args.num("p-sync", cfg.tester.pSyncOfLocks);
-    cfg.tester.maxThink = args.u64("think", cfg.tester.maxThink);
-    cfg.tester.chaos = args.u64("chaos", 0) != 0;
+    cfg.tester.maxThink = args.num("think", cfg.tester.maxThink);
+    cfg.tester.chaos = args.num("chaos", cfg.tester.chaos);
+    if (!args.error.empty())
+        return usageError(args.error);
+    std::cout << header << "\n";
 
     if (args.has("plan")) {
         std::ifstream in(args.str("plan"));
@@ -266,53 +295,24 @@ oneOff(const Args &args)
     return res.failed() ? 1 : 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+campaign(Args &args, const std::string &header)
 {
-    run::installCrashHandler("fuzz_campaign");
-
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--", 0) != 0)
-            return usage();
-        a = a.substr(2);
-        auto eq = a.find('=');
-        if (eq == std::string::npos)
-            args.kv.emplace_back(a, "");
-        else
-            args.kv.emplace_back(a.substr(0, eq), a.substr(eq + 1));
-    }
-    if (args.has("help"))
-        return usage();
-
-    std::cout << run::provenanceHeader("fuzz_campaign", argc, argv)
-              << "\n";
-
-    if (args.has("replay"))
-        return replay(args);
-    if (args.has("one-off"))
-        return oneOff(args);
-
-    run::GracefulShutdown::install();
-
     CampaignOptions opt;
-    opt.seed = args.u64("campaign-seed", 1);
-    opt.runs = static_cast<unsigned>(args.u64("runs", 50));
+    opt.seed = args.num("campaign-seed", opt.seed);
+    opt.runs = args.num("runs", opt.runs);
     opt.timeBudgetSeconds = args.num("time-budget-s", 0.0);
     opt.shrink = !args.has("no-shrink");
-    opt.maxShrinkRuns =
-        static_cast<unsigned>(args.u64("max-shrink-runs", 400));
-    opt.outDir = args.str("out-dir", "fuzz_artifacts");
+    opt.maxShrinkRuns = args.num("max-shrink-runs", opt.maxShrinkRuns);
+    opt.outDir = args.str("out-dir", opt.outDir);
     opt.plantUnsafeDropReply = args.has("plant-bug");
     opt.log = [](const std::string &m) { std::cout << m << "\n"; };
 
     opt.isolate = !args.has("no-isolate");
     opt.limits.wallSeconds = args.num("deadline-s", 300.0);
     opt.limits.heartbeatSeconds = args.num("heartbeat-s", 30.0);
-    opt.limits.rssBytes = args.u64("rss-mb", 4096) * (1ull << 20);
+    opt.limits.rssBytes =
+        args.num("rss-mb", std::uint64_t{4096}) * (1ull << 20);
     if (!args.has("no-journal"))
         opt.journalPath =
             args.str("journal", opt.outDir + "/journal.jsonl");
@@ -323,13 +323,19 @@ main(int argc, char **argv)
     if (args.has("plant-crash-at")) {
         // Harness self-test: kill case N with an abort and prove the
         // campaign triages it and carries on.
-        unsigned at =
-            static_cast<unsigned>(args.u64("plant-crash-at", 0));
+        const unsigned at = args.num("plant-crash-at", 0u);
         opt.preRun = [at](unsigned i) {
             if (i == at)
                 __builtin_trap();
         };
     }
+    if (!args.error.empty())
+        return usageError(args.error);
+    if (opt.runs == 0)
+        return usageError("--runs must be > 0");
+    std::cout << header << "\n";
+
+    run::GracefulShutdown::install();
 
     std::cout << "fuzz_campaign: seed=" << opt.seed
               << " runs=" << opt.runs << " rev=" << run::gitRevision()
@@ -358,4 +364,46 @@ main(int argc, char **argv)
         return run::GracefulShutdown::exitCode();
     }
     return sum.failures > 0 || sum.crashes > 0 ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    run::installCrashHandler("fuzz_campaign");
+
+    Args args;
+    for (int i = 1; i < argc; ++i) {
+        std::string a = argv[i];
+        if (a.rfind("--", 0) != 0)
+            return usage();
+        a = a.substr(2);
+        auto eq = a.find('=');
+        if (eq == std::string::npos)
+            args.kv.emplace(a, "");
+        else
+            args.kv.emplace(a.substr(0, eq), a.substr(eq + 1));
+    }
+    if (args.has("help"))
+        return usage();
+
+    const bool replaying = args.has("replay");
+    const bool oneOffRun = !replaying && args.has("one-off");
+    std::span<const std::string_view> takes = kCampaignFlags;
+    if (replaying)
+        takes = kReplayFlags;
+    else if (oneOffRun)
+        takes = kOneOffFlags;
+    for (const auto &[k, v] : args.kv)
+        if (std::find(takes.begin(), takes.end(), k) == takes.end())
+            return usageError("unknown option: --" + k);
+
+    const std::string header =
+        run::provenanceHeader("fuzz_campaign", argc, argv);
+    if (replaying)
+        return replay(args, header);
+    if (oneOffRun)
+        return oneOff(args, header);
+    return campaign(args, header);
 }

@@ -12,7 +12,9 @@
  *       breakdown: every bus grant/delivery, MLT route decision,
  *       memory serve/bounce, snoop serve, relaunch, watchdog reissue
  *       and fault injection that touched the instance, with ticks
- *       relative to issue. --addr keeps only one address.
+ *       relative to issue. --addr keeps only one address. K and A
+ *       are non-negative decimal integers; anything else, or an
+ *       unknown flag, exits 2 naming the flag.
  *
  *   $ mcube_report prof profile.json
  *       Host-time report over a self-profile (sweep_cli
@@ -28,13 +30,13 @@
  * it over in-memory streams; this file is argument parsing.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "run/crash_handler.hh"
+#include "run/parse_number.hh"
 #include "run/provenance.hh"
 #include "sim/json.hh"
 #include "sim/profiler.hh"
@@ -42,6 +44,14 @@
 
 namespace
 {
+
+/** Print "mcube_report: <msg>" as the one line of a usage error. */
+int
+usageError(const std::string &msg)
+{
+    std::cerr << "mcube_report: " << msg << "\n";
+    return 2;
+}
 
 int
 usage(int rc)
@@ -72,16 +82,25 @@ main(int argc, char **argv)
     std::string path;
     for (int i = 2; i < argc; ++i) {
         const std::string a = argv[i];
-        if (cmd == "trace" && a.rfind("--top=", 0) == 0)
-            opt.topK = std::atoi(a.c_str() + 6);
-        else if (cmd == "trace" && a.rfind("--addr=", 0) == 0)
-            opt.addrFilter = std::atoll(a.c_str() + 7);
+        const std::string key = a.substr(0, a.find('='));
+        const std::string val =
+            key.size() < a.size() ? a.substr(key.size() + 1) : "";
+        bool ok = true;
+        if (cmd == "trace" && key == "--top")
+            ok = mcube::run::parseNumber(val, opt.topK);
+        else if (cmd == "trace" && key == "--addr")
+            ok = mcube::run::parseNumber(val, opt.addrFilter);
         else if (a == "--help" || a == "-h")
             return usage(0);
-        else if (path.empty() && a.rfind("--", 0) != 0)
+        else if (a.rfind("--", 0) == 0)
+            return usageError("unknown option: " + key);
+        else if (path.empty())
             path = a;
         else
             return usage(2);
+        if (!ok)
+            return usageError(key + ": '" + val
+                              + "' is not a valid number");
     }
     if (path.empty())
         return usage(2);
